@@ -30,8 +30,11 @@ from repro.sim import values as V
 
 @pytest.fixture(scope="module")
 def wb():
+    # The big-int substrate: the packing and evaluator ablations below
+    # compare big-int routes, so the C kernel stays out of the way.
     return api.Workbench.for_netlist(
-        synth.generate("engine", 5, 6, 12, 100, seed=4))
+        synth.generate("engine", 5, 6, 12, 100, seed=4),
+        engine="codegen")
 
 
 def test_fault_sim_sequence_pass(benchmark, wb):
@@ -85,21 +88,21 @@ def test_podem_all_faults(benchmark, wb):
     assert statuses
 
 
-def test_engine_generic_vs_codegen(benchmark, wb):
+def test_engine_interp_vs_codegen(benchmark, wb):
     """Ablation: interpreting evaluator vs the code-generated one.
 
-    Times the generic engine here; compare against
+    Times the interp engine here; compare against
     ``test_fault_sim_sequence_pass`` (which runs on the default
     codegen engine) for the speedup factor.
     """
     from repro.sim.fault_sim import FaultSimulator
     from repro.sim.logicsim import CompiledCircuit
 
-    generic_cc = CompiledCircuit(wb.netlist.copy(), engine="generic")
-    generic_sim = FaultSimulator(generic_cc, wb.faults)
+    interp_cc = CompiledCircuit(wb.netlist.copy(), engine="interp")
+    interp_sim = FaultSimulator(interp_cc, wb.faults)
     vectors = random_gen.random_sequence(wb.circuit, 100, seed=1)
     init = random_gen.random_state(wb.circuit, seed=2)
-    detected = benchmark(generic_sim.detect, vectors, init,
+    detected = benchmark(interp_sim.detect, vectors, init,
                          early_exit=False)
     # Both engines agree exactly (the equivalence tests enforce it).
     assert detected == wb.sim.detect(vectors, init, early_exit=False)

@@ -8,13 +8,14 @@ Default mode runs the paper's full proposed procedure
   cross-phase fault dropping;
 * **after** -- the wide-word configuration: ``width="auto"`` (every
   target fused into one word) with cross-phase dropping on;
-* **numpy** -- the same fused configuration executed by the uint64
-  array backend (``engine="numpy"``, C pass kernel when a compiler is
-  present).  The arm is skipped -- recorded as ``null`` with a visible
-  notice -- when numpy is not installed.
+* **numpy** -- the same fused configuration with every pass in the C
+  pass kernel over uint64 arrays (``engine="auto"``).  The arm is
+  skipped -- recorded as ``null`` with a visible notice -- when the
+  kernel is unavailable (no numpy, cffi or C compiler), since
+  ``auto`` then *is* the after arm.
 
 ``--engine-matrix`` times one whole-fault-set ``detect`` pass per
-engine (interp, codegen, numpy) on the same circuit, best of several
+engine (interp, codegen, auto) on the same circuit, best of several
 repeats, asserting identical detected sets, and emits
 ``BENCH_engine_matrix.json``.
 
@@ -35,7 +36,7 @@ speedup ratio.
 ``--trials`` benchmarks the lane-batched trial engine: the full
 proposed procedure under ``trial_batch=1`` (scalar per-trial loops)
 vs the default ``trial_batch=64`` (Phase-3 candidate blocks, Phase-4
-merge-trial prefetching) on the numpy engine when available.  The
+merge-trial prefetching) on ``engine="auto"``.  The
 emitted ``BENCH_trials.json`` records both arms' Phase-3+4 wall clock
 and asserts byte-identical results; ``--gate RATIO`` fails when the
 batched trial time exceeds ``RATIO`` x the scalar time (the committed
@@ -103,11 +104,11 @@ Usage::
 the after/lanes arm is slower than ``RATIO`` times the before/scalar
 arm (the CI perf-smoke job runs ``--quick --gate 1.5`` and
 ``--phase1 --quick --gate 1.0``).  ``--gate-numpy RATIO`` additionally
-requires the numpy arm to be at least ``RATIO`` times faster than the
-fused big-int arm; it is skipped with a visible notice when numpy or a
-C compiler is unavailable.  In ``--power`` mode the gate is a quality
-gate instead: adjacent peak shift WTM vs random, per circuit (the CI
-job runs ``--power --gate 1.0``).
+requires the kernel arm (``engine="auto"``) to be at least ``RATIO``
+times faster than the fused big-int arm; it is skipped with a visible
+notice when the C pass kernel is unavailable.  In ``--power`` mode the
+gate is a quality gate instead: adjacent peak shift WTM vs random, per
+circuit (the CI job runs ``--power --gate 1.0``).
 """
 
 from __future__ import annotations
@@ -215,15 +216,16 @@ def build_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     print(f"  {after['seconds']}s")
 
     numpy_arm: Optional[Dict[str, Any]] = None
-    if npsim.numpy_available():
-        print('numpy: width="auto" fused, uint64-array backend ...',
+    reason = npsim.kernel_unavailable_reason()
+    if reason is None:
+        print('numpy: width="auto" fused, C pass kernel (engine auto) ...',
               flush=True)
         numpy_arm = _run_arm(netlist, comb.tests, t0, "auto",
-                             dropping=True, engine="numpy")
+                             dropping=True, engine="auto")
         print(f"  {numpy_arm['seconds']}s")
     else:
-        print("numpy arm SKIPPED: numpy is not installed "
-              "(pip install repro[fast])")
+        print(f"numpy arm SKIPPED: the C pass kernel is unavailable "
+              f"({reason})")
 
     after_sets = after.pop("_sets")
     identical = before.pop("_sets") == after_sets
@@ -257,8 +259,7 @@ def build_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
+            "np_kernel": npsim.kernel_unavailable_reason() is None,
         },
         "before": before,
         "after": after,
@@ -280,9 +281,10 @@ def build_engine_matrix_payload(quick: bool, seed: int = 1,
 
     Times a whole-fault-set, no-early-exit ``detect`` pass over a
     random binary sequence under each evaluation engine (interp,
-    codegen, numpy), best of ``repeats``, on the same circuit and
-    stimuli.  The numpy row is ``null`` when numpy is missing.  All
-    engines must return the identical detected set.
+    codegen, auto), best of ``repeats``, on the same circuit and
+    stimuli.  The auto row is ``null`` when the C pass kernel is
+    unavailable (auto then runs the codegen row's path).  All engines
+    must return the identical detected set.
     """
     import random as _random
 
@@ -305,9 +307,10 @@ def build_engine_matrix_payload(quick: bool, seed: int = 1,
 
     engines = {}
     detected_sets = {}
-    for engine in ("interp", "codegen", "numpy"):
-        if engine == "numpy" and not npsim.numpy_available():
-            print("numpy: SKIPPED (numpy is not installed)")
+    for engine in ("interp", "codegen", "auto"):
+        if engine == "auto" and npsim.kernel_unavailable_reason():
+            print(f"auto: SKIPPED (the C pass kernel is unavailable: "
+                  f"{npsim.kernel_unavailable_reason()})")
             engines[engine] = None
             continue
         circuit = CompiledCircuit(netlist, engine=engine)
@@ -354,12 +357,11 @@ def build_engine_matrix_payload(quick: bool, seed: int = 1,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
+            "np_kernel": npsim.kernel_unavailable_reason() is None,
         },
         "engines": engines,
         "speedup_vs_codegen": {e: _ratio(e)
-                               for e in ("interp", "codegen", "numpy")},
+                               for e in ("interp", "codegen", "auto")},
         "identical_results": identical,
     }
 
@@ -564,12 +566,12 @@ def build_trials_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     Runs the full proposed procedure twice on the profile circuit --
     ``trial_batch=1`` (the scalar per-trial loops) and the default
     ``trial_batch=64`` (Phase-3 candidate blocks + Phase-4 merge-trial
-    prefetching) -- on the numpy engine when available (codegen
-    otherwise), asserting byte-identical results and reporting the
+    prefetching) -- on ``engine="auto"``, asserting byte-identical
+    results and reporting the
     Phase-3+4 wall-clock ratio the CI gate checks.
     """
     profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
-    engine = "numpy" if npsim.numpy_available() else "codegen"
+    engine = "auto"
 
     print(f"scalar: trial_batch=1, engine={engine} ...", flush=True)
     scalar = _run_trial_arm(netlist, comb.tests, t0, 1, engine)
@@ -599,8 +601,7 @@ def build_trials_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
+            "np_kernel": npsim.kernel_unavailable_reason() is None,
         },
         "scalar": scalar,
         "batched": batched,
@@ -751,7 +752,7 @@ def build_adi_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     clock cycles no worse than the baseline.
     """
     profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
-    engine = "numpy" if npsim.numpy_available() else "codegen"
+    engine = "auto"
 
     print(f"baseline: adi=off, engine={engine} ...", flush=True)
     baseline = _run_trial_arm(netlist, comb.tests, t0, 64, engine)
@@ -941,8 +942,7 @@ def build_delay_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     scalar = _run_delay_route(circuit, sets, "scalar")
     print(f"  {scalar['seconds']}s ({scalar['tdf_passes']} passes)")
     packed = None
-    if npsim.numpy_available() and \
-            npsim.kernel_unavailable_reason() is None:
+    if npsim.kernel_unavailable_reason() is None:
         print("packed: wide-word route ...", flush=True)
         packed = _run_delay_route(circuit, sets, "packed")
         print(f"  {packed['seconds']}s ({packed['tdf_passes']} passes)")
@@ -972,8 +972,7 @@ def build_delay_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
+            "np_kernel": npsim.kernel_unavailable_reason() is None,
         },
         "scalar": scalar,
         "packed": packed,
@@ -1022,21 +1021,16 @@ def _power_gate(payload: Dict[str, Any], ratio: float) -> bool:
 
 def _numpy_gate(bigint_row: Dict[str, Any],
                 numpy_row: Optional[Dict[str, Any]],
-                ratio: float, config: Dict[str, Any]) -> bool:
-    """The numpy arm must be at least ``ratio`` x faster than big-int.
+                ratio: float) -> bool:
+    """The kernel arm must be at least ``ratio`` x faster than big-int.
 
     Returns True (with a visible notice) instead of failing when the
-    numpy arm could not run at full speed: numpy missing, or no C
-    compiler for the pass kernel (the pure-numpy fallback is a
-    portability path, not a fast path).
+    kernel arm could not run: no numpy, cffi or C compiler for the
+    pass kernel (``engine="auto"`` is then the big-int engine).
     """
     if numpy_row is None:
-        print("NUMPY GATE SKIPPED: numpy is not installed "
-              "(pip install repro[fast])")
-        return True
-    if not config.get("np_kernel"):
-        print("NUMPY GATE SKIPPED: no C compiler for the pass kernel; "
-              "only the pure-numpy fallback ran")
+        print(f"NUMPY GATE SKIPPED: the C pass kernel is unavailable "
+              f"({npsim.kernel_unavailable_reason()})")
         return True
     achieved = bigint_row["seconds"] / max(numpy_row["seconds"], 1e-9)
     if achieved < ratio:
@@ -1057,7 +1051,7 @@ def main(argv: Optional[list] = None) -> int:
                              "(lanes vs scalar) instead of the engine")
     parser.add_argument("--engine-matrix", action="store_true",
                         help="time one detect pass per engine "
-                             "(interp/codegen/numpy) on the same "
+                             "(interp/codegen/auto) on the same "
                              "circuit instead of the full pipeline")
     parser.add_argument("--power", action="store_true",
                         help="sweep the X-fill strategies' power on "
@@ -1080,10 +1074,11 @@ def main(argv: Optional[list] = None) -> int:
                         help="fail (exit 1) when the after/lanes wall "
                              "clock exceeds RATIO x before/scalar")
     parser.add_argument("--gate-numpy", type=float, metavar="RATIO",
-                        help="fail (exit 1) when the numpy arm is "
-                             "less than RATIO x faster than the fused "
-                             "big-int arm (skipped, with a notice, "
-                             "when numpy or a C compiler is missing)")
+                        help="fail (exit 1) when the C-kernel arm "
+                             "(engine auto) is less than RATIO x "
+                             "faster than the fused big-int arm "
+                             "(skipped, with a notice, when the "
+                             "kernel is unavailable)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("-o", "--out", default=None)
     args = parser.parse_args(argv)
@@ -1208,9 +1203,8 @@ def main(argv: Optional[list] = None) -> int:
             return 1
         if args.gate_numpy is not None:
             return 0 if _numpy_gate(payload["engines"]["codegen"],
-                                    payload["engines"]["numpy"],
-                                    args.gate_numpy,
-                                    payload["config"]) else 1
+                                    payload["engines"]["auto"],
+                                    args.gate_numpy) else 1
         return 0
 
     if args.phase1:
@@ -1242,7 +1236,7 @@ def main(argv: Optional[list] = None) -> int:
               f"<= {args.gate}")
     if args.gate_numpy is not None and not args.phase1:
         if not _numpy_gate(payload["after"], payload.get("numpy"),
-                           args.gate_numpy, payload["config"]):
+                           args.gate_numpy):
             return 1
     return 0
 

@@ -10,7 +10,7 @@ in one call.  Power users compose the pieces from :mod:`repro.core`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from .analysis.diagnostics import Diagnostic
 from .analysis.faultspace import FaultSpaceReport
@@ -20,7 +20,6 @@ from .atpg.comb_set import CombSetResult, CombTest
 from .circuits.netlist import Netlist
 from .core.combine import CombineResult, static_compact
 from .core.dynamic import DynamicResult, dynamic_compact
-from .core.phase1 import DEFAULT_CANDIDATE_SCAN
 from .core.proposed import (PhaseObserver, ProposedResult,
                             run as run_proposed)
 from .core.scan_test import ScanTestSet, single_vector_test
@@ -30,7 +29,7 @@ from .delay.transition import TransitionSim
 from .sim import values as V
 from .sim.comb_sim import CombPatternSim
 from .sim.counters import SimCounters
-from .sim.fault_sim import FaultSimulator, WidthPolicy
+from .sim.fault_sim import FaultSimulator
 from .sim.faults import FaultSet
 from .sim.logicsim import CompiledCircuit
 
@@ -75,8 +74,7 @@ class Workbench:
         return self.faultspace.difficulty_map(self.faults)
 
     @classmethod
-    def for_netlist(cls, netlist: Netlist, engine: str = "codegen",
-                    width: WidthPolicy = "auto",
+    def for_netlist(cls, netlist: Netlist, engine: str = "auto",
                     lint: bool = False,
                     static_analysis: bool = True) -> "Workbench":
         """Build the standard toolchain for one circuit.
@@ -86,20 +84,14 @@ class Workbench:
         netlist:
             The circuit.
         engine:
-            Evaluation backend: ``"codegen"`` (compiled per-circuit
-            source, the default), ``"interp"``/``"generic"`` (the
-            table-driven interpreter; ``"interp"`` is the CLI spelling
-            of ``"generic"``), ``"numpy"`` (the uint64-array backend
-            of :mod:`repro.sim.npsim`; requires the optional numpy
-            dependency and raises an actionable error without it), or
-            ``"auto"`` (numpy for large passes when available, fused
-            big-int otherwise).  All backends produce byte-identical
-            results.
-        width:
-            Fault-packing policy for the sequential simulator:
-            ``"auto"`` (fuse every target into one wide word, chunk
-            only past the fused cap) or an explicit machines-per-word
-            integer.  See :class:`repro.sim.fault_sim.FaultSimulator`.
+            Evaluation backend: ``"auto"`` (the default: the C pass
+            kernel of :mod:`repro.sim.npsim` when it loads, big-int
+            codegen otherwise) or ``"interp"`` (the table-driven
+            reference interpreter).  All backends produce
+            byte-identical results; the fault simulator always fuses
+            every target into one wide word (see
+            :class:`repro.sim.fault_sim.FaultSimulator` for the
+            packing policies).
         lint:
             Run the structural netlist lint first and carry its
             findings in :attr:`diagnostics`.  Only the cheap
@@ -115,8 +107,6 @@ class Workbench:
             no detection set, so only the machine-bit counters move.
             ``False`` skips the pass (the benchmark baseline arm).
         """
-        if engine == "interp":
-            engine = "generic"
         diagnostics: List[Diagnostic] = []
         if lint:
             from .analysis.rules import lint_netlist
@@ -124,8 +114,7 @@ class Workbench:
         circuit = CompiledCircuit(netlist, engine=engine)
         faults = FaultSet.collapsed(netlist)
         counters = SimCounters()
-        sim = FaultSimulator(circuit, faults, width=width,
-                             counters=counters)
+        sim = FaultSimulator(circuit, faults, counters=counters)
         comb_sim = CombPatternSim(circuit, faults, counters=counters)
         faultspace: Optional[FaultSpaceReport] = None
         if static_analysis:
@@ -167,12 +156,10 @@ def compact_tests(
     comb_tests: Optional[Sequence[CombTest]] = None,
     run_phase4: bool = True,
     workbench: Optional[Workbench] = None,
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     x_fill: str = "random",
     power_budget: Optional[float] = None,
     observer: Optional[PhaseObserver] = None,
     resume: Optional[Dict[str, Any]] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     adi_scores: Optional[Dict[int, int]] = None,
     scoap: bool = False,
@@ -197,9 +184,6 @@ def compact_tests(
         An explicit combinational test set; generated when omitted.
     run_phase4:
         Apply the [4] static compaction at the end.
-    candidate_scan:
-        Phase-1 Step-2 engine mode, ``"lanes"`` or ``"scalar"``; see
-        :func:`repro.core.proposed.run`.
     x_fill:
         Don't-care fill strategy for the ATPG stages (see
         :func:`repro.sim.values.fill_x`); ``"random"`` (the default)
@@ -216,11 +200,6 @@ def compact_tests(
         :func:`repro.core.proposed.run`.  When ``resume`` names a
         completed Phase 2 (or later), ``T0`` generation is skipped
         entirely -- the salvaged state already embodies it.
-    trial_batch:
-        Lane budget for batched trial simulation (Phase-3 candidate
-        blocks, Phase-4 merge-trial prefetching); results are
-        byte-identical for every value, ``1`` forces the scalar
-        loops.  See :func:`repro.core.proposed.run`.
     adi:
         Enable Accidental-Detection-Index guidance: the random phase
         of combinational test generation doubles as the ADI census
@@ -285,11 +264,9 @@ def compact_tests(
     scoap_scores = (wb.scoap_difficulty() or None) if scoap else None
     return run_proposed(wb.sim, wb.comb_sim, t0, comb_tests,
                         run_phase4=run_phase4,
-                        candidate_scan=candidate_scan,
                         merge_filter=merge_filter,
                         topoff_power_key=power_key,
                         observer=observer, resume=resume,
-                        trial_batch=trial_batch,
                         adi=adi, adi_scores=adi_scores,
                         scoap_scores=scoap_scores)
 

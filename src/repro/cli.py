@@ -37,6 +37,11 @@ subprocesses inherit; see :mod:`repro.analysis.sanitizer`.
 ``--full`` runs every reproduced circuit and takes correspondingly
 longer).
 
+``circuit`` and ``tables`` take ``--engine {auto,interp}``: ``auto``
+(the default) runs every fault-simulation pass in the compiled C pass
+kernel when it loads and on big-int generated code otherwise;
+``interp`` is the reference interpreter.  Results are identical.
+
 ``circuit`` and ``tables`` also take ``--x-fill`` (don't-care fill
 strategy for the ATPG stages; the default ``random`` reproduces the
 paper runs byte-identically), ``--power-budget`` (peak shift-WTM
@@ -99,21 +104,6 @@ def _resolve_profiles(names: List[str]):
     return profiles
 
 
-def _parse_width(text: str):
-    """``--width`` value: "auto" or an integer word width >= 2."""
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"width must be 'auto' or an integer, got {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            "width must be >= 2 (one good machine + one faulty)")
-    return value
-
-
 def _harness_config(args: argparse.Namespace) -> HarnessConfig:
     return HarnessConfig(timeout=args.timeout,
                          stall_timeout=args.stall_timeout,
@@ -151,11 +141,9 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
         return 2
     outcome = run_suite_resilient(profiles, seed=args.seed,
                                   delay=args.delay,
-                                  engine=args.engine, width=args.width,
-                                  candidate_scan=args.candidate_scan,
+                                  engine=args.engine,
                                   x_fill=args.x_fill,
                                   power_budget=args.power_budget,
-                                  trial_batch=args.trial_batch,
                                   adi=args.adi, scoap=args.scoap,
                                   config=_harness_config(args))
     print(render_all(all_tables(outcome.runs,
@@ -179,11 +167,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     outcome = run_suite_resilient(profiles, quick=not args.full,
                                   seed=args.seed,
                                   delay=args.delay,
-                                  engine=args.engine, width=args.width,
-                                  candidate_scan=args.candidate_scan,
+                                  engine=args.engine,
                                   x_fill=args.x_fill,
                                   power_budget=args.power_budget,
-                                  trial_batch=args.trial_batch,
                                   adi=args.adi, scoap=args.scoap,
                                   config=_harness_config(args),
                                   verbose=True)
@@ -504,32 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     engine_opts = argparse.ArgumentParser(add_help=False)
     egroup = engine_opts.add_argument_group("simulation engine")
-    egroup.add_argument("--engine",
-                        choices=("interp", "codegen", "numpy", "auto"),
-                        default="codegen",
-                        help="evaluation backend: generated per-circuit "
-                             "code (codegen, default), the table-"
-                             "driven interpreter (interp), the uint64-"
-                             "array backend (numpy; needs the optional "
-                             "numpy extra), or auto (numpy for large "
-                             "passes when available, else codegen)")
-    egroup.add_argument("--width", type=_parse_width, default="auto",
-                        metavar="{N,auto}",
-                        help="fault machines per simulation word: an "
-                             "integer chunk width, or 'auto' (default) "
-                             "to fuse all targets into one wide word")
-    egroup.add_argument("--candidate-scan", choices=("scalar", "lanes"),
-                        default="lanes", dest="candidate_scan",
-                        help="Phase-1 scan-in selection mode: "
-                             "candidate-parallel transposed lanes "
-                             "(default) or one pass per candidate "
-                             "state (scalar); results are identical")
-    egroup.add_argument("--trial-batch", type=int, default=64,
-                        dest="trial_batch", metavar="N",
-                        help="trial simulations packed per lane-"
-                             "batched pass in Phases 3/4 (default: "
-                             "64; 1 disables batching; results are "
-                             "identical either way)")
+    egroup.add_argument("--engine", choices=("auto", "interp"),
+                        default="auto",
+                        help="evaluation backend: auto (default: the "
+                             "compiled C pass kernel when it loads, "
+                             "generated per-circuit code otherwise) or "
+                             "the table-driven reference interpreter "
+                             "(interp); results are identical")
     egroup.add_argument("--adi", action="store_true",
                         help="order work by the Accidental Detection "
                              "Index (arXiv:0710.4637): fused-word "
@@ -713,7 +680,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--resume requires --run-dir")
     if getattr(args, "sanitize", False):
         os.environ["REPRO_SANITIZE"] = "1"
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro-compact list | head``): stop
+        # quietly, and point stdout at devnull so the interpreter's
+        # exit-time flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -101,8 +101,8 @@ class _CheckpointedRun:
         chunk = self.chunks[chunk_index]
         ff_zero, ff_one, caught = self.states[start_frame][chunk_index]
         if not record and vectors:
-            backend = sim._array_backend_for(len(chunk.indices))
-            if backend is not None and backend.kernel_available:
+            backend = sim._array_backend()
+            if backend is not None:
                 # Array fast path: same loop inside the C kernel, with
                 # the last-frame scan-out diff folded into the caught
                 # mask (the caller ORs the two anyway).

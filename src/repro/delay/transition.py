@@ -172,33 +172,25 @@ class TransitionSim:
         """The :class:`~repro.sim.npsim.ArrayBackend` to run packed
         captures on, or ``None`` for the scalar route.
 
-        Reuses the circuit's registry backend when the circuit was
-        compiled for ``numpy`` / ``auto``; otherwise builds one for
-        TDF work alone (cached on the circuit -- the kernel plan
-        arrays are circuit-wide) so ``--delay`` is fast under the
-        default big-int engines too.
+        Reuses the circuit's backend under ``engine="auto"``;
+        otherwise builds one for TDF work alone (cached on the circuit
+        -- the kernel plan arrays are circuit-wide) so ``--delay`` is
+        fast under the big-int engines too.
         """
         if route == "scalar":
             return None
         from ..sim import npsim
         backend = self.circuit.array_backend
-        if backend is None and npsim.numpy_available():
+        if backend is None and npsim.kernel_unavailable_reason() is None:
             backend = getattr(self.circuit, "_tdf_array_backend", None)
             if backend is None:
                 backend = npsim.ArrayBackend(self.circuit)
                 self.circuit._tdf_array_backend = backend  # type: ignore[attr-defined]
-        if backend is not None and backend.kernel_available:
-            return backend
-        if route == "packed":
-            if backend is None:
-                raise RuntimeError(
-                    "the packed TDF route requires numpy; install the "
-                    "optional extra with `pip install repro[fast]` or "
-                    "use route='scalar'")
+        if backend is None and route == "packed":
             raise RuntimeError(
                 "the packed TDF route requires the compiled C pass "
                 f"kernel: {npsim.kernel_unavailable_reason()}")
-        return None
+        return backend
 
     # ------------------------------------------------------------------
     def detect_test(self, test: ScanTest,
@@ -432,9 +424,8 @@ class TransitionSim:
         stems is a pure function of the group size, and the stem rows
         are set bit-by-bit straight into ``uint64`` words (``bits0`` /
         ``bits1`` hold the stuck-at-0 / stuck-at-1 machine-bit
-        positions per stem site).  Only valid on the kernel path: the
-        copy's ``chunk`` still reports empty stems, which only the
-        pure-numpy fallback evaluator consults.  The per-net site
+        positions per stem site).  The copy's ``chunk`` still reports
+        empty stems; the kernel reads only the plan arrays.  The per-net site
         table is a single reused buffer -- entries dirtied by the
         previous launch frame are cleared here, so the plan returned
         by the last call stays valid until the next one.

@@ -97,7 +97,6 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..circuits.suite import CircuitProfile
-from ..core.phase1 import DEFAULT_CANDIDATE_SCAN
 from . import reporting
 from .reporting import Table
 from .runner import CircuitRun, resolve_profiles, run_circuit_by_name
@@ -121,19 +120,20 @@ CHAOS_DIRECTIVES = CHAOS_KINDS
 ChaosFn = Callable[["JobSpec", int], Optional[str]]
 
 #: JobSpec fields a checkpointed run must have been produced under
-#: for :func:`_checkpoint_usable` to accept it.  ``delay`` is absent
-#: on purpose: it is measurement-only (never changes the produced
-#: test sets), so a delay-bearing checkpoint also serves a plain
-#: request; the reverse direction is the dedicated report-presence
-#: check in :func:`_checkpoint_usable`.
-CHECKPOINT_KNOBS = ("engine", "width", "candidate_scan", "x_fill",
-                    "power_budget", "adi", "scoap")
+#: for :func:`_checkpoint_usable` to accept it: the knobs that can
+#: change the produced test sets.  ``delay`` is absent on purpose: it
+#: is measurement-only, so a delay-bearing checkpoint also serves a
+#: plain request; the reverse direction is the dedicated
+#: report-presence check in :func:`_checkpoint_usable`.  ``engine`` is
+#: absent too: every engine produces byte-identical results (the
+#: equivalence suites prove it), so a checkpoint from any engine --
+#: or recording the width / candidate-scan / trial-batch settings of
+#: earlier versions -- serves any request.
+CHECKPOINT_KNOBS = ("x_fill", "power_budget", "adi", "scoap")
 
 #: Knob values assumed when a (modern, knob-recording) checkpoint
 #: predates a knob entirely -- the knob's default, under which the
-#: checkpoint was necessarily produced.  ``trial_batch`` is absent on
-#: purpose: it never changes results, so checkpoints match across any
-#: batching configuration.
+#: checkpoint was necessarily produced.
 _KNOB_DEFAULTS: Dict[str, Any] = {"adi": False, "scoap": False}
 
 
@@ -141,19 +141,15 @@ _KNOB_DEFAULTS: Dict[str, Any] = {"adi": False, "scoap": False}
 class JobSpec:
     """One unit of work: a circuit run under one seed / arm config.
 
-    ``engine``/``width`` select the simulation backend
-    (``"codegen"``, ``"interp"``, ``"numpy"`` or ``"auto"``, see
-    :meth:`repro.api.Workbench.for_netlist`) and fault-packing
-    policy; legacy spec dicts without an ``engine`` key default to
-    ``"codegen"`` and ``_checkpoint_usable`` rejects rows whose
-    engine differs from the requested one;
-    ``candidate_scan`` the Phase-1 Step-2 mode ("lanes" or "scalar");
-    ``x_fill``/``power_budget`` the don't-care fill strategy and the
-    optional peak shift-WTM cap (see :mod:`repro.power`).  All travel
-    across the ``spawn`` boundary as plain values (``width`` is an int
-    or the string ``"auto"``); workers read missing keys with
-    defaults, so old callers and legacy spec dicts stay compatible
-    (they default to ``random`` fill with no budget).
+    ``engine`` selects the simulation backend (``"auto"`` or the
+    ``"interp"`` reference, see
+    :meth:`repro.api.Workbench.for_netlist`); it never changes
+    results.  ``x_fill``/``power_budget`` are the don't-care fill
+    strategy and the optional peak shift-WTM cap (see
+    :mod:`repro.power`).  All travel across the ``spawn`` boundary as
+    plain values; workers read missing keys with defaults, so old
+    callers and legacy spec dicts stay compatible (they default to
+    ``random`` fill with no budget).
     """
 
     circuit: str
@@ -165,15 +161,9 @@ class JobSpec:
     #: spec dicts -- which carried ``with_transition`` -- default to
     #: off, and workers accept either key).
     delay: bool = False
-    engine: str = "codegen"
-    width: Union[int, str] = "auto"
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN
+    engine: str = "auto"
     x_fill: str = "random"
     power_budget: Optional[float] = None
-    #: Lane budget for batched trial simulation (Phase-3 blocks,
-    #: Phase-4 prefetch).  Never result-shaping -- excluded from
-    #: checkpoint-identity comparison.
-    trial_batch: int = 64
     #: Accidental-Detection-Index ordering guidance (result-shaping:
     #: compared on resume; legacy checkpoints count as ``False``).
     adi: bool = False
@@ -511,13 +501,9 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
             with_baselines=spec_dict["with_baselines"],
             delay=bool(spec_dict.get(
                 "delay", spec_dict.get("with_transition", False))),
-            engine=spec_dict.get("engine", "codegen"),
-            width=spec_dict.get("width", "auto"),
-            candidate_scan=spec_dict.get("candidate_scan",
-                                         DEFAULT_CANDIDATE_SCAN),
+            engine=spec_dict.get("engine", "auto"),
             x_fill=spec_dict.get("x_fill", "random"),
             power_budget=spec_dict.get("power_budget"),
-            trial_batch=int(spec_dict.get("trial_batch", 64)),
             adi=bool(spec_dict.get("adi", False)),
             scoap=bool(spec_dict.get("scoap", False)),
             hooks=hooks)
@@ -558,11 +544,9 @@ def _run_attempt_inline(spec: JobSpec, seed: int,
             spec.circuit, seed=seed, arms=spec.arms,
             with_baselines=spec.with_baselines,
             delay=spec.delay,
-            engine=spec.engine, width=spec.width,
-            candidate_scan=spec.candidate_scan,
+            engine=spec.engine,
             x_fill=spec.x_fill, power_budget=spec.power_budget,
-            trial_batch=spec.trial_batch, adi=spec.adi,
-            scoap=spec.scoap, hooks=hooks)
+            adi=spec.adi, scoap=spec.scoap, hooks=hooks)
         return "ok", run
     except Exception:
         return "error", traceback.format_exc()
@@ -1004,12 +988,9 @@ def run_suite_resilient(
     arms: Sequence[str] = ("seqgen", "random"),
     with_baselines: bool = True,
     delay: bool = False,
-    engine: str = "codegen",
-    width: Union[int, str] = "auto",
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
+    engine: str = "auto",
     x_fill: str = "random",
     power_budget: Optional[float] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     scoap: bool = False,
     config: Optional[HarnessConfig] = None,
@@ -1025,9 +1006,8 @@ def run_suite_resilient(
     specs = [JobSpec(circuit=p.name, seed=seed, arms=tuple(arms),
                      with_baselines=with_baselines,
                      delay=delay,
-                     engine=engine, width=width,
-                     candidate_scan=candidate_scan,
+                     engine=engine,
                      x_fill=x_fill, power_budget=power_budget,
-                     trial_batch=trial_batch, adi=adi, scoap=scoap)
+                     adi=adi, scoap=scoap)
              for p in resolve_profiles(profiles, quick=quick)]
     return run_jobs(specs, config=config, verbose=verbose)

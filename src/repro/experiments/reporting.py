@@ -297,7 +297,7 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
     (``p1_s`` .. ``p4_s``), the power engine's words and wall clock
     (``pw_words`` / ``pw_s``), the transition-fault engine's passes,
     words and wall clock (``tdf_passes`` / ``tdf_words`` / ``tdf_s``),
-    the numpy backend's pass count (``np``), and the trial-batch trio
+    the C pass kernel's pass count (``np``), and the trial-batch trio
     (``trials`` lane-batched trial passes, ``lanes`` trials carried,
     ``adi`` ADI ordering decisions) -- plus the engine knob the run
     executed under (``eng``, from :attr:`CircuitRun.knobs`).  Runs

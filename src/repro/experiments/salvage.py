@@ -63,9 +63,9 @@ QUARANTINE_DIR = "quarantine"
 SALVAGE_DIR = "salvage"
 
 #: Spec knobs that must match for salvaged state to be reused.  The
-#: engine/width/candidate-scan knobs are deliberately absent: the
-#: equivalence suite proves them byte-identical, so salvage written
-#: under one backend is valid under any other.
+#: engine is deliberately absent: the equivalence suite proves every
+#: engine byte-identical, so salvage written under one backend is
+#: valid under any other.
 SALVAGE_KNOBS = ("x_fill", "power_budget")
 
 

@@ -58,11 +58,11 @@ the phase timers, these render as dashes for legacy checkpoints.
 
 Backend counters
 ----------------
-``np_passes`` counts pass *chunks* executed by the numpy array
-backend (:mod:`repro.sim.npsim`) -- zero under the big-int engines,
-so it doubles as a cheap "did the numpy engine actually run?" probe
-for tests and benchmarks.  Legacy checkpoints lack the key and
-render as dashes.
+``np_passes`` counts pass *chunks* executed by the C pass kernel
+(:mod:`repro.sim.npsim`) -- zero under the big-int engines and when
+the kernel is unavailable, so it doubles as a cheap "did the kernel
+actually run?" probe for tests and benchmarks.  Legacy checkpoints
+lack the key and render as dashes.
 
 Trial-batch counters
 --------------------

@@ -8,7 +8,8 @@ the *number of words*, not their width: Python integers are
 arbitrary-precision, and one 4096-bit AND is far cheaper than 32
 separate 128-bit evaluation passes.
 
-Packing policy (``width=``):
+Packing policy (``width=``; not a user knob -- the pipeline always
+runs ``"auto"``, integer widths are the chunked test oracle):
 
 * ``"auto"`` (default) -- **wide-word fusion**: every active fault of
   a pass is packed into a single word pair per net, falling back to
@@ -26,18 +27,14 @@ Packing policy (``width=``):
   historical default, kept as :data:`DEFAULT_WIDTH`).
 
 Execution backend (``CompiledCircuit(engine=...)``): the packed words
-are evaluated either as Python big-ints (engines ``"generic"`` /
-``"codegen"``) or as ``uint64`` arrays driven by the
-:mod:`repro.sim.npsim` backend (engine ``"numpy"``, optional
-dependency).  ``engine="auto"`` routes each :meth:`FaultSimulator.
-detect` / :meth:`FaultSimulator.run_with_records` pass to the array
-backend when its compiled C kernel is available and the pass packs
-at least :data:`NUMPY_AUTO_MIN_MACHINES` machines, and stays on the
-fused big-int path otherwise (:func:`benchmark_engines` measures the
-crossover for a concrete circuit).  Backends are result-identical:
-per-machine logic values do not depend on how words are stored, and
-the cross-backend equivalence suite plus the ``REPRO_SANITIZE``
-shadow checks enforce it.
+are evaluated as Python big-ints (engines ``"interp"`` /
+``"codegen"``), or -- under ``engine="auto"`` -- every pass runs in
+the C pass kernel of :mod:`repro.sim.npsim` over ``uint64`` arrays
+whenever the kernel loads, falling back to big-int codegen when it
+does not.  Backends are result-identical: per-machine logic values do
+not depend on how words are stored, and the cross-backend
+equivalence suite plus the ``REPRO_SANITIZE`` shadow checks enforce
+it.
 
 Fault dropping: :meth:`FaultSimulator.detect` retires
 already-detected machines *mid-pass* (``early_exit=True``) by
@@ -108,22 +105,6 @@ def _resolve_fused_cap() -> int:
     """The effective fused cap: ``REPRO_FUSED_CAP`` or the default."""
     return int(os.environ.get("REPRO_FUSED_CAP", FUSED_CAP))
 
-
-#: Minimum machines (faulty + good) a pass must pack before
-#: ``engine="auto"`` routes it through the numpy array backend.  Small
-#: passes lose: the C kernel call plus plan-array construction cost a
-#: few hundred microseconds, which only amortizes once the big-int
-#: loop would evaluate a wide-ish word over enough gates.  Override
-#: with the ``REPRO_NP_AUTO_MIN`` environment variable (read at
-#: :class:`FaultSimulator` construction, like ``REPRO_FUSED_CAP``);
-#: measure a concrete circuit with :func:`benchmark_engines`.
-NUMPY_AUTO_MIN_MACHINES = 64
-
-
-def _resolve_np_auto_min() -> int:
-    """The effective auto threshold: ``REPRO_NP_AUTO_MIN`` or default."""
-    return int(os.environ.get("REPRO_NP_AUTO_MIN",
-                              NUMPY_AUTO_MIN_MACHINES))
 
 #: In-pass retirement fires only when a word still has at least this
 #: many machines (repacking tiny words saves nothing) ...
@@ -352,7 +333,6 @@ class FaultSimulator:
         self.faults = faults
         self.width = width
         self.fused_cap = fused_cap
-        self.np_auto_min = _resolve_np_auto_min()
         #: Sanitizer shadows set this to pin the big-int path, so a
         #: cross-check of an array-backend pass is cross-*backend* as
         #: well as cross-packing.
@@ -396,28 +376,16 @@ class FaultSimulator:
                     self._spec.append(("branch", ids[gate_name], pin))
 
     # ------------------------------------------------------------------
-    def _array_backend_for(self, n_machines: int) -> Optional[Any]:
-        """The array backend to run a pass chunk with, or ``None``.
+    def _array_backend(self) -> Optional[Any]:
+        """The C-kernel backend to run passes with, or ``None``.
 
-        ``engine="numpy"`` always routes to the backend (C kernel or
-        pure-numpy fallback).  ``engine="auto"`` routes only when the
-        kernel compiled and the chunk packs at least
-        ``np_auto_min`` machines -- otherwise the fused big-int path
-        is faster.  Big-int engines (and sanitizer shadows) get
-        ``None``.
+        Under ``engine="auto"`` every pass goes to the kernel when it
+        loaded; other engines, a missing kernel and sanitizer shadows
+        (which pin the big-int path) get ``None``.
         """
         if self._force_bigint:
             return None
-        engine = self.circuit.engine
-        if engine == "numpy":
-            return self.circuit.array_backend
-        if engine == "auto":
-            backend = self.circuit.array_backend
-            if (backend is None or not backend.kernel_available or
-                    n_machines + 1 < self.np_auto_min):
-                return None
-            return backend
-        return None
+        return self.circuit.array_backend
 
     # ------------------------------------------------------------------
     def set_adi_order(self, scores: Optional[Dict[int, int]]) -> None:
@@ -731,7 +699,7 @@ class FaultSimulator:
         last = len(vectors) - 1
         longest = 0
         for chunk in chunks:
-            backend = self._array_backend_for(len(chunk.indices))
+            backend = self._array_backend()
             if backend is not None:
                 longest = max(longest, backend.run_detect_chunk(
                     self, chunk, vectors, init_state, scan_out,
@@ -815,7 +783,7 @@ class FaultSimulator:
         simulator using the *opposite* packing policy (fused vs
         chunked), with early exit and retirement off.  The shadow
         always runs the big-int path (``_force_bigint``), so when the
-        primary pass went through the numpy array backend this is a
+        primary pass went through the C pass kernel this is a
         cross-backend check as well as a cross-packing one.  Budgeted
         per simulator and capped in target size; see the sanitizer
         module.
@@ -874,7 +842,7 @@ class FaultSimulator:
         po_first: Dict[int, int] = {}
         scan_diff: List[Set[int]] = [set() for _ in range(n_frames)]
         for chunk in chunks:
-            backend = self._array_backend_for(len(chunk.indices))
+            backend = self._array_backend()
             if backend is not None:
                 backend.run_records_chunk(self, chunk, vectors,
                                           init_state, scan_observe,
@@ -1094,9 +1062,8 @@ class FaultSimulator:
                                    List[int]]] = None
         longest = 0
         for chunk in lane_chunks:
-            backend = self._array_backend_for(
-                chunk.n_groups * chunk.n_lanes)
-            if backend is not None and backend.kernel_available:
+            backend = self._array_backend()
+            if backend is not None:
                 if trial_form is None:
                     lane_mask = (1 << n_lanes) - 1
                     pi_words = [
@@ -1290,7 +1257,7 @@ class FaultSimulator:
         equivalence suite enforces this bit for bit).  This is the
         engine behind Phase-4 merge-trial prefetching and the batched
         transfer-sequence checks; passes route through the array
-        backend's lane kernel under ``engine="numpy"`` / ``"auto"``.
+        backend's lane kernel under ``engine="auto"``.
         """
         trial_list = list(trials)
         n_lanes = len(trial_list)
@@ -1331,9 +1298,8 @@ class FaultSimulator:
         lane_mask = (1 << n_lanes) - 1
         longest = 0
         for chunk in chunks:
-            backend = self._array_backend_for(
-                chunk.n_groups * chunk.n_lanes)
-            if backend is not None and backend.kernel_available:
+            backend = self._array_backend()
+            if backend is not None:
                 caught, frames_done = backend.run_lane_chunk(
                     self, chunk, max_frames, pi_words, acts, ends,
                     init_words, good_po, good_scan, slot_pos,
@@ -1396,31 +1362,27 @@ class FaultSimulator:
                         e |= 1 << k
             acts.append(a)
             ends.append(e)
-        backend = self._array_backend_for(n_lanes)
-        n_pi = len(circuit.pi_ids)
-        pi_words: List[List[Tuple[int, int]]]
-        if backend is not None:
-            pi_words = _pack_trial_pi_lanes(backend.np, full_trials,
-                                            max_frames, n_pi)
-        else:
-            pi_words = []
-            for f in range(max_frames):
-                pi_words.append([
-                    V.pack_lanes([vecs[f][p] if f < len(vecs) else V.X
-                                  for _, vecs in full_trials])
-                    for p in range(n_pi)])
         slot_positions = (range(len(circuit.ff_ids))
                           if scan_observe is None else scan_observe)
         init_words = [V.pack_lanes([s[ff_pos] for s, _ in full_trials])
                       for ff_pos in range(len(circuit.ff_ids))]
-        if backend is not None and backend.kernel_available:
+        n_pi = len(circuit.pi_ids)
+        backend = self._array_backend()
+        if backend is not None:
             # The per-frame Python loop below dominates batched trial
             # passes; one kernel call computes the same good values.
+            pi_words = _pack_trial_pi_lanes(backend.np, full_trials,
+                                            max_frames, n_pi)
             po_frames, scan_frames = backend.run_good_lane_pass(
                 self, n_lanes, max_frames, pi_words, ends,
                 init_words, observe_po, list(slot_positions),
                 scan_out)
             return pi_words, acts, ends, po_frames, scan_frames
+        pi_words = [
+            [V.pack_lanes([vecs[f][p] if f < len(vecs) else V.X
+                           for _, vecs in full_trials])
+             for p in range(n_pi)]
+            for f in range(max_frames)]
         zero = [0] * circuit.n_nets
         one = [0] * circuit.n_nets
         for nid, (z, o) in zip(circuit.ff_ids, init_words):
@@ -1562,47 +1524,6 @@ def benchmark_packing(
     fused_s, chunked_s = timings
     return ("auto" if fused_s <= chunked_s else "chunked",
             fused_s, chunked_s)
-
-
-def benchmark_engines(
-    circuit: CompiledCircuit,
-    faults: FaultSet,
-    frames: int = 8,
-    seed: int = 0,
-) -> Tuple[str, float, Optional[float]]:
-    """Measure the fused big-int engine vs the numpy backend.
-
-    The backend-selection counterpart of :func:`benchmark_packing`:
-    one short random-sequence ``detect`` pass over the whole fault
-    set per engine, on fresh ``CompiledCircuit`` instances over the
-    same netlist.  Returns ``(winner, bigint_seconds,
-    numpy_seconds)`` where ``winner`` is ``"numpy"`` or ``"codegen"``
-    and ``numpy_seconds`` is ``None`` when numpy is unavailable (the
-    big-int engine wins by default).  This is the measurement behind
-    :data:`NUMPY_AUTO_MIN_MACHINES`; ``emit_bench.py
-    --engine-matrix`` records per-engine timings in the benchmark
-    artifact.
-    """
-    import random as _random
-    from .npsim import numpy_available
-    rng = _random.Random(seed)
-    vectors = [V.random_binary_vector(len(circuit.pi_ids), rng)
-               for _ in range(frames)]
-    init = V.random_binary_vector(len(circuit.ff_ids), rng)
-
-    def _time(engine: str) -> float:
-        compiled = CompiledCircuit(circuit.netlist, engine=engine)
-        sim = FaultSimulator(compiled, faults, width="auto")
-        start = time.perf_counter()
-        sim.detect(vectors, init, early_exit=False)
-        return time.perf_counter() - start
-
-    bigint_s = _time("codegen")
-    if not numpy_available():
-        return "codegen", bigint_s, None
-    numpy_s = _time("numpy")
-    return (("numpy" if numpy_s <= bigint_s else "codegen"),
-            bigint_s, numpy_s)
 
 
 @dataclass

@@ -47,12 +47,13 @@ _OPCODES = {
 #: Opcodes whose output is the complement of the underlying function.
 _INVERTING = {OP_NAND, OP_NOR, OP_XNOR, OP_NOT}
 
-#: Engine names :class:`CompiledCircuit` accepts.  ``"interp"`` is the
-#: CLI-facing alias of ``"generic"``; ``"numpy"`` routes fault-sim
-#: passes through :mod:`repro.sim.npsim` (requires the optional numpy
-#: dependency); ``"auto"`` uses numpy for large passes when available
-#: and falls back to the fused big-int path otherwise.
-ENGINES = ("generic", "interp", "codegen", "numpy", "auto")
+#: Engine names :class:`CompiledCircuit` accepts.  ``"auto"`` is the
+#: fast engine: codegen evaluation plus the C pass kernel of
+#: :mod:`repro.sim.npsim` for whole fault-simulation passes when the
+#: kernel loads.  ``"interp"`` (the interpreting loop) is the reference
+#: oracle; ``"codegen"`` pins the big-int path that ``"auto"`` runs
+#: without the kernel, for the equivalence suites and benchmarks.
+ENGINES = ("interp", "codegen", "auto")
 
 
 class CompiledCircuit:
@@ -80,16 +81,13 @@ class CompiledCircuit:
 
         * ``"codegen"`` (default) generates and compiles a
           circuit-specialized function (see :mod:`repro.sim.codegen`,
-          1.5-2.5x faster);
-        * ``"generic"`` (alias ``"interp"``) uses the interpreting
-          loop below;
-        * ``"numpy"`` keeps the codegen evaluator for scalar work but
-          routes whole fault-simulation passes through the
-          :mod:`repro.sim.npsim` array backend (requires numpy --
-          raises here, eagerly and actionably, without it);
-        * ``"auto"`` is ``"numpy"`` when numpy is available and its
-          executor beats big-int for the pass at hand, silently
-          ``"codegen"`` otherwise.
+          1.5-2.5x faster than ``"interp"``);
+        * ``"interp"`` uses the interpreting loop below (the
+          reference oracle);
+        * ``"auto"`` is ``"codegen"`` plus the C pass kernel: every
+          fault-simulation pass runs in the kernel when it loads
+          (see :attr:`array_backend`), and on big-int codegen when
+          it does not.
 
         All engines are exactly equivalent result-wise (enforced by
         the equivalence suite and the ``REPRO_SANITIZE`` shadow
@@ -99,8 +97,6 @@ class CompiledCircuit:
         ------
         ValueError
             On an unknown engine name.
-        ImportError
-            On ``engine="numpy"`` without numpy installed.
         """
         if not netlist.is_compiled():
             netlist.compile()
@@ -108,13 +104,8 @@ class CompiledCircuit:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; "
                              f"use one of {ENGINES}")
-        if engine == "interp":
-            engine = "generic"
         self.engine = engine
         self._array_backend: Optional[object] = None
-        if engine == "numpy":
-            from .npsim import require_numpy
-            require_numpy()
         ids = netlist.net_ids
         self.n_nets = netlist.num_nets
         self.pi_ids: List[int] = [ids[n] for n in netlist.inputs]
@@ -130,13 +121,13 @@ class CompiledCircuit:
                 ids[gname],
                 tuple(ids[f] for f in gate.fanins),
             ))
-        if engine != "generic":
+        if engine != "interp":
             from .codegen import build_evaluator
             # Instance attribute shadows the method: all simulators
-            # transparently use the specialized evaluator.  The numpy
-            # and auto engines keep this big-int evaluator too -- the
-            # good-machine / combinational simulators and the
-            # lane-transposed candidate scan stay on big-int words.
+            # transparently use the specialized evaluator.  The auto
+            # engine keeps this big-int evaluator too -- the
+            # good-machine and combinational simulators stay on
+            # big-int words.
             self.eval_frame = build_evaluator(self)
 
     # ------------------------------------------------------------------
@@ -144,17 +135,18 @@ class CompiledCircuit:
     def array_backend(self) -> Optional[object]:
         """The :class:`~repro.sim.npsim.ArrayBackend` for this circuit.
 
-        Built lazily on first use.  ``None`` unless the engine is
-        ``"numpy"`` or ``"auto"``, or (for ``"auto"``) when numpy is
-        unavailable -- callers fall back to the big-int path.
+        Built lazily on first use under ``engine="auto"``.  ``None``
+        for the other engines and when the C pass kernel does not
+        load -- callers then stay on the big-int path.
         """
-        if self.engine not in ("numpy", "auto"):
+        if self.engine != "auto":
             return None
         if self._array_backend is None:
-            from .npsim import ArrayBackend, numpy_available
-            if self.engine == "auto" and not numpy_available():
+            from .npsim import ArrayBackend, KernelUnavailableError
+            try:
+                self._array_backend = ArrayBackend(self)
+            except KernelUnavailableError:
                 return None
-            self._array_backend = ArrayBackend(self)
         return self._array_backend
 
     # ------------------------------------------------------------------

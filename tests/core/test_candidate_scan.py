@@ -35,7 +35,7 @@ def circuit_for(seed):
     if seed not in _CACHE:
         net = synth.generate("cscan", _N_PI, 3, _N_FF, 30, seed=seed)
         cc_codegen = CompiledCircuit(net, engine="codegen")
-        cc_generic = CompiledCircuit(net.copy(), engine="generic")
+        cc_generic = CompiledCircuit(net.copy(), engine="interp")
         fs = FaultSet.collapsed(net)
         _CACHE[seed] = (cc_codegen, cc_generic, fs)
     return _CACHE[seed]

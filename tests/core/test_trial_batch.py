@@ -28,13 +28,13 @@ from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 
 try:
-    from repro.sim.npsim import numpy_available
-    _HAS_NUMPY = numpy_available()
+    from repro.sim.npsim import kernel_unavailable_reason
+    _HAS_KERNEL = kernel_unavailable_reason() is None
 except ImportError:  # pragma: no cover - numpy present in CI
-    _HAS_NUMPY = False
+    _HAS_KERNEL = False
 
-needs_numpy = pytest.mark.skipif(not _HAS_NUMPY,
-                                 reason="numpy not installed")
+needs_kernel = pytest.mark.skipif(not _HAS_KERNEL,
+                                  reason="the C pass kernel is unavailable")
 
 _N_PI = 4
 
@@ -46,9 +46,8 @@ def circuits_for(seed):
     if seed not in _CACHE:
         net = synth.generate("trial", _N_PI, 3, 5, 30, seed=seed)
         circuits = [CompiledCircuit(net, engine="codegen"),
-                    CompiledCircuit(net.copy(), engine="generic")]
-        if _HAS_NUMPY:
-            circuits.append(CompiledCircuit(net.copy(), engine="numpy"))
+                    CompiledCircuit(net.copy(), engine="interp"),
+                    CompiledCircuit(net.copy(), engine="auto")]
         _CACHE[seed] = (circuits, FaultSet.collapsed(net))
     return _CACHE[seed]
 
@@ -247,14 +246,14 @@ class TestAdiOrdering:
         assert scored == plain
 
 
-@needs_numpy
+@needs_kernel
 class TestPlanCacheEviction:
     def test_lru_bound_and_eviction(self):
         """The per-simulator plan cache stays bounded and evicts LRU."""
         from repro.sim.npsim import ArrayBackend
 
         net = synth.generate("plancache", 4, 3, 5, 40, seed=2)
-        cc = CompiledCircuit(net, engine="numpy")
+        cc = CompiledCircuit(net, engine="auto")
         fs = FaultSet.collapsed(net)
         sim = FaultSimulator(cc, fs, width="auto")
         backend = cc.array_backend

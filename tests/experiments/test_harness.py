@@ -8,6 +8,7 @@ single arm to keep the suite fast.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -109,24 +110,33 @@ class TestSerialization:
         assert "s27" in text and "-" in text
 
     def test_engine_width_travel_through_jobspec(self):
-        spec = _spec(engine="interp", width=16)
+        """The engine knob crosses the spawn boundary; the
+        result-invariant width / trial-batch settings are not JobSpec
+        fields, and a spec carrying them is rejected rather than
+        silently honoured."""
+        spec = _spec(engine="interp")
         outcome = run_jobs([spec], config=_cfg(isolate=True))
         assert outcome.ok
         run = outcome.runs[0]
-        assert run.counters["words"] >= run.counters["frames"]
+        assert run.knobs["engine"] == "interp"
+        assert run.counters["np_passes"] == 0
+        for name, value in (("width", 16), ("trial_batch", 1)):
+            with pytest.raises(TypeError):
+                _spec(**{name: value})
+            assert name not in run.knobs
 
     def test_candidate_scan_travels_through_jobspec(self):
-        """The candidate-scan knob crosses the spawn boundary, and a
-        spec dict without the field (old checkpoint) still loads."""
-        spec = _spec(candidate_scan="scalar")
-        outcome = run_jobs([spec], config=_cfg(isolate=True))
+        """Only the lane-packed candidate scan crosses the spawn
+        boundary: the isolated worker runs it, and a spec naming the
+        removed ``candidate_scan`` field is rejected rather than
+        silently honoured."""
+        outcome = run_jobs([_spec()], config=_cfg(isolate=True))
         assert outcome.ok
-        assert outcome.runs[0].counters["candidate_passes"] == 0
-        from dataclasses import asdict
-        legacy = asdict(_spec())
-        del legacy["candidate_scan"]
-        assert JobSpec(**legacy).candidate_scan == \
-            harness.DEFAULT_CANDIDATE_SCAN
+        run = outcome.runs[0]
+        assert run.counters["candidate_passes"] > 0
+        assert "candidate_scan" not in run.knobs
+        with pytest.raises(TypeError):
+            _spec(candidate_scan="scalar")
 
     def test_roundtrip_preserves_tables(self, s27_full_run):
         back = reporting.run_from_dict(
@@ -545,21 +555,48 @@ class TestPowerSerialization:
                                                _checkpoint_usable)
         base = _spec(arms=("seqgen", "random"), with_baselines=True,
                      delay=True)
-        different = {"engine": "interp", "width": 4,
-                     "candidate_scan": "scalar", "x_fill": "adjacent",
-                     "power_budget": 9.0, "adi": True, "scoap": True}
+        different = {"x_fill": "adjacent", "power_budget": 9.0,
+                     "adi": True, "scoap": True}
         assert set(different) == set(CHECKPOINT_KNOBS)
         for name, value in different.items():
             spec = _spec(arms=("seqgen", "random"), with_baselines=True,
                          **{"delay": True, name: value})
             assert not _checkpoint_usable(s27_full_run, spec), name
+        # The engine never changes results, so it is not compared.
+        assert _checkpoint_usable(s27_full_run,
+                                  replace(base, engine="interp"))
         # A legacy spec dict (pre-knob fields stripped) resolves to the
         # defaults and must still accept the matching checkpoint.
         legacy = asdict(base)
-        for name in ("engine", "width", "candidate_scan", "x_fill",
-                     "power_budget", "adi", "scoap"):
+        for name in ("engine", "x_fill", "power_budget", "adi", "scoap"):
             legacy.pop(name, None)
         assert _checkpoint_usable(s27_full_run, JobSpec(**legacy))
+
+    def test_resume_reuses_checkpoint_of_any_route(self, s27_full_run,
+                                                   tmp_path, capsys):
+        """A stored run produced under the big-int engine with chunked
+        packing, scalar candidate scan and unbatched trials is reused
+        by a default ``--resume`` without recomputation: those
+        settings never change results.  A result-shaping knob
+        mismatch still rejects it."""
+        from repro.cli import main
+        from repro.experiments.harness import _checkpoint_usable
+        data = reporting.run_to_dict(s27_full_run)
+        data["knobs"].update(engine="codegen", width=128,
+                             candidate_scan="scalar", trial_batch=1)
+        stored = reporting.run_from_dict(data)
+        spec = _spec(arms=("seqgen", "random"), with_baselines=True,
+                     delay=True)
+        RunStore(tmp_path).append_run(spec, stored)
+        assert main(["circuit", "s27", "--delay", "--run-dir",
+                     str(tmp_path), "--resume"]) == 0
+        assert "s27" in capsys.readouterr().out
+        statuses = [r.status for r in RunStore(tmp_path).load_records()]
+        assert statuses == ["skipped-resume"]
+        for name, value in (("x_fill", "adjacent"), ("power_budget", 9.0),
+                            ("adi", True), ("scoap", True)):
+            assert not _checkpoint_usable(
+                stored, replace(spec, **{name: value})), name
 
     def test_checkpoint_usable_delay_asymmetric(self, s27_full_run):
         """--delay is measurement-only: a delay-bearing checkpoint

@@ -1,4 +1,4 @@
-"""Equivalence tests: code-generated engine vs the generic interpreter.
+"""Equivalence tests: code-generated engine vs the interp reference.
 
 The two engines must produce bit-identical results for every
 evaluation mode the simulators use -- plain good-machine runs, stem
@@ -54,7 +54,7 @@ class TestEquivalence:
     def test_random_frames_identical(self, seed):
         rng = random.Random(seed)
         net = synth.generate("cg", 4, 3, 4, 30, seed=seed % 40)
-        generic = CompiledCircuit(net, engine="generic")
+        generic = CompiledCircuit(net, engine="interp")
         fast = CompiledCircuit(net.copy(), engine="codegen")
         mask = (1 << rng.randint(1, 9)) - 1
         stems, branch = random_injections(generic, rng, mask)
@@ -70,7 +70,7 @@ class TestEquivalence:
         vectors = [V.random_binary_vector(4, rng) for _ in range(25)]
         init = V.vec("010")
         results = []
-        for engine in ("generic", "codegen"):
+        for engine in ("interp", "codegen"):
             cc = CompiledCircuit(s27.copy(), engine=engine)
             fs = FaultSet.collapsed(cc.netlist)
             sim = FaultSimulator(cc, fs)
@@ -81,7 +81,7 @@ class TestEquivalence:
         net = library.counter(4)
         rng = random.Random(1)
         vectors = [(rng.randint(0, 1),) for _ in range(20)]
-        a = simulate_sequence(CompiledCircuit(net, engine="generic"),
+        a = simulate_sequence(CompiledCircuit(net, engine="interp"),
                               vectors, (V.ZERO,) * 4)
         b = simulate_sequence(CompiledCircuit(net.copy(),
                                               engine="codegen"),
@@ -92,7 +92,7 @@ class TestEquivalence:
 
 class TestMechanics:
     def test_source_is_valid_python(self, s27):
-        cc = CompiledCircuit(s27, engine="generic")
+        cc = CompiledCircuit(s27, engine="interp")
         source = generate_source(cc)
         compile(source, "<test>", "exec")
         assert "def eval_frame" in source
@@ -114,7 +114,7 @@ class TestMechanics:
         rng = random.Random(2)
         vectors = [V.random_binary_vector(5, rng) for _ in range(120)]
         timings = {}
-        for engine in ("generic", "codegen"):
+        for engine in ("interp", "codegen"):
             cc = CompiledCircuit(net.copy(), engine=engine)
             fs = FaultSet.collapsed(cc.netlist)
             sim = FaultSimulator(cc, fs)
@@ -123,34 +123,11 @@ class TestMechanics:
                        early_exit=False)
             timings[engine] = time.perf_counter() - start
         # Allow noise, but codegen must not be significantly slower.
-        assert timings["codegen"] <= timings["generic"] * 1.15
+        assert timings["codegen"] <= timings["interp"] * 1.15
 
 
 class TestCodeCache:
-    """The source-text code cache serves both evaluator flavors."""
-
-    def _flavors(self, net):
-        import repro.sim.codegen as codegen
-        cc = CompiledCircuit(net, engine="codegen")
-        bigint_src = generate_source(cc)
-        numpy_src = codegen.generate_numpy_source(cc)
-        return codegen, cc, bigint_src, numpy_src
-
-    def test_flavors_cache_independently(self):
-        """One netlist yields two distinct cache slots -- the big-int
-        and numpy sources differ, so neither evicts or shadows the
-        other."""
-        pytest.importorskip("numpy")
-        import repro.sim.codegen as codegen
-        net = synth.generate("cache2f", 4, 3, 4, 30, seed=11)
-        codegen_mod, cc, bigint_src, numpy_src = self._flavors(net)
-        assert bigint_src != numpy_src
-        from repro.sim.codegen import (build_evaluator,
-                                       build_numpy_evaluator)
-        build_evaluator(cc)
-        build_numpy_evaluator(cc)
-        assert bigint_src in codegen_mod._CODE_CACHE
-        assert numpy_src in codegen_mod._CODE_CACHE
+    """The source-text code cache shares compiled evaluators."""
 
     def test_repeated_builds_hit_cache(self):
         """Rebuilding a CompiledCircuit over the same netlist reuses
@@ -158,46 +135,8 @@ class TestCodeCache:
         import repro.sim.codegen as codegen
         net = synth.generate("cachehit", 4, 3, 4, 30, seed=12)
         CompiledCircuit(net, engine="codegen")
-        source = generate_source(CompiledCircuit(net, engine="generic"))
+        source = generate_source(CompiledCircuit(net, engine="interp"))
         cached = codegen._CODE_CACHE.get(source)
         assert cached is not None
         CompiledCircuit(net.copy(), engine="codegen")
         assert codegen._CODE_CACHE[source] is cached
-
-    def test_numpy_repeated_builds_hit_cache(self):
-        pytest.importorskip("numpy")
-        import repro.sim.codegen as codegen
-        from repro.sim.codegen import build_numpy_evaluator
-        net = synth.generate("cachehitnp", 4, 3, 4, 30, seed=13)
-        cc = CompiledCircuit(net, engine="codegen")
-        build_numpy_evaluator(cc)
-        source = codegen.generate_numpy_source(cc)
-        cached = codegen._CODE_CACHE[source]
-        build_numpy_evaluator(CompiledCircuit(net.copy(),
-                                              engine="codegen"))
-        assert codegen._CODE_CACHE[source] is cached
-
-    def test_numpy_flavor_matches_bigint_flavor(self):
-        """Both flavors of the emitted evaluator compute the same
-        frame on the same injections (arrays converted at the edge)."""
-        np = pytest.importorskip("numpy")
-        from repro.sim.codegen import build_numpy_evaluator
-        from repro.sim.values import array_to_word, word_to_array
-        rng = random.Random(21)
-        net = synth.generate("cgnp", 4, 3, 4, 30, seed=21)
-        cc = CompiledCircuit(net, engine="codegen")
-        np_eval = build_numpy_evaluator(cc)
-        mask = (1 << 7) - 1
-        stems, branch = random_injections(cc, rng, mask)
-        z1, o1 = load_words(cc, rng, mask)
-        za = np.vstack([word_to_array(w, 1) for w in z1])
-        oa = np.vstack([word_to_array(w, 1) for w in o1])
-        cc.eval_frame(z1, o1, mask, stems, branch)
-        np_eval(za, oa, word_to_array(mask, 1),
-                {nid: (word_to_array(m0, 1), word_to_array(m1, 1))
-                 for nid, (m0, m1) in stems.items()},
-                {out: [(pin, word_to_array(m0, 1), word_to_array(m1, 1))
-                       for pin, m0, m1 in entries]
-                 for out, entries in branch.items()})
-        assert [array_to_word(r) for r in za] == z1
-        assert [array_to_word(r) for r in oa] == o1

@@ -35,14 +35,8 @@ def circuits_for(seed):
     if seed not in _CACHE:
         net = synth.generate("collapse", _N_PI, 3, 5, 35, seed=seed)
         engines = [CompiledCircuit(net, engine="codegen"),
-                   CompiledCircuit(net.copy(), engine="generic")]
-        try:
-            from repro.sim.npsim import numpy_available
-            if numpy_available():
-                engines.append(CompiledCircuit(net.copy(),
-                                               engine="numpy"))
-        except ImportError:  # pragma: no cover - numpy present in CI
-            pass
+                   CompiledCircuit(net.copy(), engine="interp"),
+                   CompiledCircuit(net.copy(), engine="auto")]
         collapsed = FaultSet.uncollapsed(net, collapse=True)
         plain = FaultSet.uncollapsed(net, collapse=False)
         report = analyze_faultspace(net)

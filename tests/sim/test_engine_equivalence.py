@@ -1,7 +1,9 @@
-"""Engine equivalence: fused, chunked and codegen must agree exactly.
+"""Engine equivalence: fused, chunked, codegen and the C kernel must
+agree exactly.
 
-The wide-word fusion, the in-pass repack and the codegen backend are
-pure packing/evaluation strategies -- none of them may change a single
+The wide-word fusion, the in-pass repack, the codegen evaluator and
+the C pass kernel (``engine="auto"``) are pure packing/evaluation
+strategies -- none of them may change a single
 detection.  These properties drive random circuits, widths, scan
 configurations and X-laden vectors through every engine combination
 and require byte-identical detection sets.
@@ -34,7 +36,7 @@ def circuit_for(seed):
     if seed not in _CACHE:
         net = synth.generate("equiv", _N_PI, 3, 5, 30, seed=seed)
         cc_codegen = CompiledCircuit(net, engine="codegen")
-        cc_generic = CompiledCircuit(net.copy(), engine="generic")
+        cc_generic = CompiledCircuit(net.copy(), engine="interp")
         fs = FaultSet.collapsed(net)
         _CACHE[seed] = (cc_codegen, cc_generic, fs)
     return _CACHE[seed]
@@ -368,43 +370,34 @@ class TestScanoutRegression:
 
 
 # ----------------------------------------------------------------------
-# numpy array backend (optional dependency: repro[fast])
+# The C pass kernel under engine="auto" (optional dependency: repro[fast])
 # ----------------------------------------------------------------------
 
 try:
-    from repro.sim.npsim import (ArrayBackend, kernel_unavailable_reason,
-                                 numpy_available)
-    _HAS_NUMPY = numpy_available()
-    _HAS_KERNEL = _HAS_NUMPY and kernel_unavailable_reason() is None
+    from repro.sim.npsim import kernel_unavailable_reason
+    _HAS_KERNEL = kernel_unavailable_reason() is None
 except ImportError:  # pragma: no cover - numpy present in CI
-    _HAS_NUMPY = _HAS_KERNEL = False
+    _HAS_KERNEL = False
 
-needs_numpy = pytest.mark.skipif(not _HAS_NUMPY,
-                                 reason="numpy not installed")
+needs_kernel = pytest.mark.skipif(not _HAS_KERNEL,
+                                  reason="the C pass kernel is unavailable")
 
 _NP_CACHE = {}
 
 
-def numpy_circuits_for(seed):
-    """One ``engine="numpy"`` circuit per executor path: the C kernel
-    (when a compiler is present) and the pure-numpy fallback."""
+def auto_circuit_for(seed):
+    """The ``engine="auto"`` circuit over the equivalence netlist."""
     if seed not in _NP_CACHE:
         net = synth.generate("equiv", _N_PI, 3, 5, 30, seed=seed)
-        out = []
-        if _HAS_KERNEL:
-            out.append(CompiledCircuit(net.copy(), engine="numpy"))
-        cc_py = CompiledCircuit(net.copy(), engine="numpy")
-        cc_py._array_backend = ArrayBackend(cc_py, use_kernel=False)
-        out.append(cc_py)
-        _NP_CACHE[seed] = out
+        _NP_CACHE[seed] = CompiledCircuit(net.copy(), engine="auto")
     return _NP_CACHE[seed]
 
 
-@needs_numpy
+@needs_kernel
 class TestNumpyBackendEquivalence:
-    """``--engine numpy`` must be byte-identical to the big-int
-    engines under both executors (C kernel and pure-numpy fallback),
-    including X-laden stimuli, partial scan and early exit."""
+    """``engine="auto"`` runs every pass in the C kernel and must be
+    byte-identical to the big-int engines, including X-laden stimuli,
+    partial scan and early exit."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=circuit_seeds, data=st.data())
@@ -419,12 +412,11 @@ class TestNumpyBackendEquivalence:
 
         reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
             vectors, init, scan_out=scan_out, early_exit=False)
-        for cc_np in numpy_circuits_for(seed):
-            sim = FaultSimulator(cc_np, fs, width="auto")
-            got = sim.detect(vectors, init, scan_out=scan_out,
-                             early_exit=early_exit)
-            assert got == reference
-            assert sim.counters.np_passes > 0
+        sim = FaultSimulator(auto_circuit_for(seed), fs, width="auto")
+        got = sim.detect(vectors, init, scan_out=scan_out,
+                         early_exit=early_exit)
+        assert got == reference
+        assert sim.counters.np_passes > 0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=circuit_seeds, data=st.data())
@@ -439,10 +431,10 @@ class TestNumpyBackendEquivalence:
 
         reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
             vectors, init, scan_observe=observe, early_exit=False)
-        for cc_np in numpy_circuits_for(seed):
-            got = FaultSimulator(cc_np, fs, width="auto").detect(
-                vectors, init, scan_observe=observe, early_exit=False)
-            assert got == reference
+        got = FaultSimulator(auto_circuit_for(seed), fs,
+                             width="auto").detect(
+            vectors, init, scan_observe=observe, early_exit=False)
+        assert got == reference
 
     @settings(max_examples=25, deadline=None)
     @given(seed=circuit_seeds, data=st.data())
@@ -454,12 +446,11 @@ class TestNumpyBackendEquivalence:
 
         ref = FaultSimulator(cc_codegen, fs, width="auto")\
             .run_with_records(vectors, init)
-        for cc_np in numpy_circuits_for(seed):
-            alt = FaultSimulator(cc_np, fs, width="auto")\
-                .run_with_records(vectors, init)
-            for frame in range(len(vectors)):
-                assert (ref.detected_with_scanout_at(frame)
-                        == alt.detected_with_scanout_at(frame))
+        alt = FaultSimulator(auto_circuit_for(seed), fs, width="auto")\
+            .run_with_records(vectors, init)
+        for frame in range(len(vectors)):
+            assert (ref.detected_with_scanout_at(frame)
+                    == alt.detected_with_scanout_at(frame))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=circuit_seeds, data=st.data())
@@ -478,22 +469,21 @@ class TestNumpyBackendEquivalence:
         test = ScanTest(tuple(init), tuple(tuple(v) for v in vectors))
         ref_sim = FaultSimulator(cc_codegen, fs, width="auto")
         ref = omit_vectors(ref_sim, test, set(required))
-        for cc_np in numpy_circuits_for(seed):
-            sim = FaultSimulator(cc_np, fs, width="auto")
-            got = omit_vectors(sim, test, set(required))
-            assert got.test == ref.test
-            assert got.detected == ref.detected
-            assert got.trials == ref.trials
-            assert (sim.counters.frames, sim.counters.words) == \
-                (ref_sim.counters.frames, ref_sim.counters.words)
+        sim = FaultSimulator(auto_circuit_for(seed), fs, width="auto")
+        got = omit_vectors(sim, test, set(required))
+        assert got.test == ref.test
+        assert got.detected == ref.detected
+        assert got.trials == ref.trials
+        assert (sim.counters.frames, sim.counters.words) == \
+            (ref_sim.counters.frames, ref_sim.counters.words)
 
 
-@needs_numpy
+@needs_kernel
 class TestNumpyRepack:
     def test_forced_repacks_identical(self, monkeypatch):
         """Aggressive in-pass retirement repacks inside the kernel's
-        pass loop (and the fallback's); sets, repack counts and word
-        accounting stay exactly the big-int engine's."""
+        pass loop; sets, repack counts and word accounting stay
+        exactly the big-int engine's."""
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_MACHINES", 2)
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
         net = synth.generate("repack", 5, 4, 8, 80, seed=3)
@@ -506,48 +496,64 @@ class TestNumpyRepack:
         reference = ref_sim.detect(vectors, init, early_exit=True)
         assert ref_sim.counters.repacks > 0
 
-        for use_kernel in ([True, False] if _HAS_KERNEL else [False]):
-            cc_np = CompiledCircuit(net.copy(), engine="numpy")
-            cc_np._array_backend = ArrayBackend(cc_np,
-                                                use_kernel=use_kernel)
-            sim = FaultSimulator(cc_np, fs, width="auto")
-            got = sim.detect(vectors, init, early_exit=True)
-            assert got == reference
-            c, r = sim.counters, ref_sim.counters
-            assert (c.repacks, c.faults_dropped) == \
-                (r.repacks, r.faults_dropped)
-            assert (c.frames, c.words, c.machines) == \
-                (r.frames, r.words, r.machines)
-            assert c.np_passes > 0
+        sim = FaultSimulator(CompiledCircuit(net.copy(), engine="auto"),
+                             fs, width="auto")
+        got = sim.detect(vectors, init, early_exit=True)
+        assert got == reference
+        c, r = sim.counters, ref_sim.counters
+        assert (c.repacks, c.faults_dropped) == \
+            (r.repacks, r.faults_dropped)
+        assert (c.frames, c.words, c.machines) == \
+            (r.frames, r.words, r.machines)
+        assert c.np_passes > 0
 
 
-@needs_numpy
 class TestEngineSelection:
-    def test_auto_threshold_routes_by_machine_count(self):
-        """engine="auto" uses the array backend only for chunks at or
-        above the probe threshold (and only when the kernel loaded);
-        engine="numpy" always uses it."""
+    @needs_kernel
+    def test_auto_routes_every_pass_to_kernel(self):
+        """With the kernel loaded, engine="auto" hands every pass to
+        it -- a 2-machine pass as well as a wide one; only sanitizer
+        shadows (pinned to big-int) get no backend."""
         net = synth.generate("autoeq", 4, 3, 5, 40, seed=1)
         fs = FaultSet.collapsed(net)
         cc = CompiledCircuit(net, engine="auto")
+        vectors = random_gen.random_sequence(cc, 6, seed=1)
+        init = random_gen.random_state(cc, seed=2)
         sim = FaultSimulator(cc, fs, width="auto")
-        if not _HAS_KERNEL:
-            assert sim._array_backend_for(10 ** 6) is None
-            return
-        assert sim._array_backend_for(sim.np_auto_min - 2) is None
-        assert sim._array_backend_for(sim.np_auto_min) is not None
+        assert sim._array_backend() is cc.array_backend is not None
+        sim.detect(vectors, init, target=[0], early_exit=False)
+        assert sim.counters.np_passes == 1
+        sim.detect(vectors, init, early_exit=False)
+        assert sim.counters.np_passes == 2
         sim._force_bigint = True
-        assert sim._array_backend_for(10 ** 6) is None
+        assert sim._array_backend() is None
+        assert FaultSimulator(CompiledCircuit(net, engine="codegen"),
+                              fs)._array_backend() is None
 
-    def test_auto_env_override(self, monkeypatch):
-        if not _HAS_KERNEL:
-            pytest.skip("no C kernel: auto never routes to numpy")
-        monkeypatch.setenv("REPRO_NP_AUTO_MIN", "3")
-        net = synth.generate("autoeq2", 4, 3, 5, 40, seed=1)
-        fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(CompiledCircuit(net, engine="auto"), fs)
-        assert sim.np_auto_min == 3
-        assert sim._array_backend_for(2) is not None
+    def test_auto_without_kernel_matches_interp(self, monkeypatch):
+        """When the kernel cannot load, engine="auto" has no array
+        backend and runs big-int codegen, byte-identical to interp."""
+        from repro.atpg import comb_set as comb_set_mod
+        from repro.core import proposed
+        from repro.sim import npsim
+        from repro.sim.comb_sim import CombPatternSim
+
+        monkeypatch.setattr(npsim, "_load_kernel", lambda: None)
+        net = synth.generate("nokern", 4, 3, 5, 40, seed=4)
+        results = []
+        for engine in ("auto", "interp"):
+            cc = CompiledCircuit(net.copy(), engine=engine)
+            assert cc.array_backend is None
+            fs = FaultSet.collapsed(net)
+            sim = FaultSimulator(cc, fs)
+            comb = comb_set_mod.generate(cc, fs, seed=1)
+            t0 = random_gen.random_sequence(cc, 40, seed=1)
+            res = proposed.run(sim, CombPatternSim(cc, fs), t0,
+                               comb.tests)
+            assert sim.counters.np_passes == 0
+            results.append((res.final_detected, res.test_set.tests,
+                            res.compacted_set.tests))
+        assert results[0] == results[1]
 
     def test_auto_agrees_with_codegen(self):
         net = synth.generate("autoeq3", 4, 3, 6, 50, seed=2)
@@ -564,27 +570,41 @@ class TestEngineSelection:
         assert got == ref
 
     def test_missing_numpy_raises_actionable_error(self, monkeypatch):
-        """CompiledCircuit(engine="numpy") surfaces MissingNumpyError
-        eagerly at construction when numpy cannot be imported."""
-        from repro.sim import logicsim, npsim
+        """Without numpy the kernel reports why it is unavailable,
+        engine="auto" quietly stays big-int, and the array helpers
+        raise MissingNumpyError naming the install extra."""
+        import builtins
 
-        def _raise():
-            raise npsim.MissingNumpyError("install repro[fast]")
+        from repro.sim import npsim
 
-        monkeypatch.setattr(npsim, "require_numpy", _raise)
+        real_import = builtins.__import__
+
+        def _no_numpy(name, *args, **kwargs):
+            if name == "numpy":
+                raise ImportError("no numpy")
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", _no_numpy)
+        monkeypatch.setattr(npsim, "_KERNEL_TRIED", False)
+        monkeypatch.setattr(npsim, "_KERNEL", None)
+        monkeypatch.setattr(npsim, "_KERNEL_ERROR", None)
+        assert npsim.kernel_unavailable_reason() == \
+            "numpy is not installed"
         net = synth.generate("noeq", 3, 2, 3, 15, seed=0)
+        assert CompiledCircuit(net, engine="auto").array_backend is None
         with pytest.raises(npsim.MissingNumpyError,
                            match=r"repro\[fast\]"):
-            logicsim.CompiledCircuit(net, engine="numpy")
+            V.word_to_array(5, 1)
 
+    @needs_kernel
     def test_sanitizer_shadow_is_cross_backend(self, monkeypatch):
-        """With the sanitizer armed, a numpy-engine detect is spot
+        """With the sanitizer armed, a kernel-run detect is spot
         checked against a big-int shadow with the opposite packing --
         and the shadow really is big-int (_force_bigint)."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         net = synth.generate("sancb", 4, 3, 5, 40, seed=6)
         fs = FaultSet.collapsed(net)
-        cc = CompiledCircuit(net, engine="numpy")
+        cc = CompiledCircuit(net, engine="auto")
         sim = FaultSimulator(cc, fs, width="auto")
         vectors = random_gen.random_sequence(cc, 6, seed=1)
         init = random_gen.random_state(cc, seed=2)

@@ -14,12 +14,14 @@ class TestWorkbench:
         assert len(wb.faults) == 32
 
     def test_engine_and_width_knobs(self, s27):
-        wb = api.Workbench.for_netlist(s27, engine="interp", width=8)
-        assert wb.circuit.engine == "generic"  # CLI alias resolved
-        assert wb.sim.width == 8
-        auto = api.Workbench.for_netlist(s27)
-        assert auto.circuit.engine == "codegen"
-        assert auto.sim.width == "auto"
+        wb = api.Workbench.for_netlist(s27, engine="interp")
+        assert wb.circuit.engine == "interp"
+        default = api.Workbench.for_netlist(s27)
+        assert default.circuit.engine == "auto"
+        # The packing policy is not an API knob: always fused.
+        assert default.sim.width == "auto"
+        with pytest.raises(TypeError):
+            api.Workbench.for_netlist(s27, width=8)
 
     def test_counters_property_is_sims(self, s27):
         wb = api.Workbench.for_netlist(s27)
@@ -30,14 +32,16 @@ class TestWorkbench:
             api.Workbench.for_netlist(s27, engine="fpga")
 
     def test_numpy_and_auto_engines(self, s27):
-        pytest.importorskip("numpy")
-        wb = api.Workbench.for_netlist(s27, engine="numpy")
-        assert wb.circuit.engine == "numpy"
-        assert wb.circuit.array_backend is not None
+        """``numpy`` and ``generic`` are gone; ``auto`` has an array
+        backend exactly when the C kernel loads."""
+        from repro.sim.npsim import kernel_unavailable_reason
+        for engine in ("numpy", "generic"):
+            with pytest.raises(ValueError, match="engine"):
+                api.Workbench.for_netlist(s27, engine=engine)
         auto = api.Workbench.for_netlist(s27, engine="auto")
         assert auto.circuit.engine == "auto"
-        # auto still detects correctly whatever executor it picked.
-        assert len(auto.faults) == len(wb.faults)
+        assert (auto.circuit.array_backend is not None) == \
+            (kernel_unavailable_reason() is None)
 
 
 class TestCompactTests:

@@ -26,62 +26,119 @@ class TestParser:
         assert "Engine counters" in out
 
     def test_circuit_engine_width_flags(self, capsys):
-        assert main(["circuit", "s27", "--engine", "interp",
-                     "--width", "16"]) == 0
+        assert main(["circuit", "s27", "--engine", "interp"]) == 0
         out = capsys.readouterr().out
         assert "Engine counters" in out
-        # The chunked run packs at most 15 faulty machines per word.
-        assert "Table 1" in out
+        assert "interp" in out  # the eng column records the knob
+        with pytest.raises(SystemExit) as exc:
+            main(["circuit", "s27", "--width", "16"])
+        assert exc.value.code == 2
 
     def test_width_auto_accepted(self):
-        args = build_parser().parse_args(
-            ["circuit", "s27", "--width", "auto"])
-        assert args.width == "auto"
-        args = build_parser().parse_args(
-            ["circuit", "s27", "--width", "64"])
-        assert args.width == 64
+        """``auto`` packing is the only width the CLI runs now: the
+        parser carries no width setting, and the workbench behind the
+        commands builds its fault simulator with ``width="auto"``."""
+        from repro import api
+        from repro.circuits import suite
+        args = build_parser().parse_args(["circuit", "s27"])
+        assert not hasattr(args, "width")
+        wb = api.Workbench.for_netlist(suite.profile("s27").build(),
+                                       engine=args.engine)
+        assert wb.sim.width == "auto"
 
     def test_width_rejects_garbage(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["circuit", "s27", "--width", "huge"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["circuit", "s27", "--width", "1"])
+        """``--width`` is gone: every value, ``auto`` included, is a
+        usage error."""
+        for value in ("auto", "64", "huge", "1"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    ["circuit", "s27", "--width", value])
+            assert exc.value.code == 2
 
     def test_engine_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["circuit", "s27", "--engine", "fpga"])
 
-    def test_engine_choices_include_numpy_and_auto(self):
-        for engine in ("interp", "codegen", "numpy", "auto"):
+    def test_engine_choices_are_auto_and_interp(self):
+        assert build_parser().parse_args(
+            ["circuit", "s27"]).engine == "auto"
+        for engine in ("interp", "auto"):
             args = build_parser().parse_args(
                 ["circuit", "s27", "--engine", engine])
             assert args.engine == engine
+        for engine in ("codegen", "numpy", "generic"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    ["circuit", "s27", "--engine", engine])
+            assert exc.value.code == 2
 
     def test_circuit_numpy_engine(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["circuit", "s27", "--engine", "numpy"]) == 0
-        out = capsys.readouterr().out
-        assert "Engine counters" in out
-        assert "numpy" in out  # the eng column records the knob
+        with pytest.raises(SystemExit) as exc:
+            main(["circuit", "s27", "--engine", "numpy"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_candidate_scan_flag(self, capsys):
-        args = build_parser().parse_args(["circuit", "s27"])
-        assert args.candidate_scan == "lanes"
-        args = build_parser().parse_args(
-            ["circuit", "s27", "--candidate-scan", "scalar"])
-        assert args.candidate_scan == "scalar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["circuit", "s27", "--candidate-scan", "vectorized"])
+        """``--candidate-scan`` and ``--trial-batch`` are gone: the
+        routes they picked are result-identical test oracles now."""
+        for argv in (["--candidate-scan", "scalar"],
+                     ["--candidate-scan", "lanes"],
+                     ["--trial-batch", "1"]):
+            for command in (["circuit", "s27"], ["tables"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + argv)
+                assert exc.value.code == 2
 
-    def test_circuit_candidate_scan_scalar_runs(self, capsys):
-        assert main(["circuit", "s27", "--candidate-scan",
-                     "scalar"]) == 0
-        out = capsys.readouterr().out
-        assert "Engine counters" in out
+    def test_circuit_candidate_scan_scalar_runs(self, monkeypatch):
+        """The scalar Step-2 scan that ``--candidate-scan scalar`` used
+        to select stays as the oracle of the lane-packed default: a
+        whole circuit run on it still completes, with the same
+        results as the default run."""
+        import functools
+
+        from repro import api
+        from repro.circuits import suite
+        from repro.core import proposed
+        from repro.experiments import reporting, runner
+
+        def results(value):
+            # Everything the run produced except its timings and the
+            # engine counters.
+            if isinstance(value, dict):
+                return {k: results(v) for k, v in value.items()
+                        if k not in ("seconds", "counters")}
+            if isinstance(value, list):
+                return [results(v) for v in value]
+            return value
+
+        lanes = runner.run_circuit(suite.profile("s27"), seed=1)
+        monkeypatch.setattr(api, "run_proposed", functools.partial(
+            proposed.run, candidate_scan="scalar"))
+        scalar = runner.run_circuit(suite.profile("s27"), seed=1)
+        assert lanes.counters["candidate_passes"] > 0
+        assert scalar.counters["candidate_passes"] == 0
+        assert results(reporting.run_to_dict(scalar)) == \
+            results(reporting.run_to_dict(lanes))
+
+    def test_list_survives_closed_stdout(self):
+        """``repro-compact list | head``: a reader that goes away
+        early is not an error -- exit 0, no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the child writes a byte
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
     def test_circuit_unknown(self, capsys):
         assert main(["circuit", "sXXX"]) == 2
