@@ -14,7 +14,9 @@ def test_table1(benchmark, suite_runs):
     print()
     print(table.render())
     for row in table.rows:
-        circuit, ff, ctests, flts, t0, scan, final = row
+        circuit, ff, ctests, flts, untst, t0, scan, final = row
         assert t0 <= scan <= final <= flts, circuit
+        # Proven-untestable faults are never detected.
+        assert final <= flts - untst, circuit
         # tau_seq detects "a large percentage of the target faults".
         assert scan >= 0.5 * flts, circuit

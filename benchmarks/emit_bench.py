@@ -66,13 +66,15 @@ bits.
 final test sets (one default proposed run plus the [4]-style
 single-vector baseline) are graded by the transition-fault simulator
 (:class:`repro.delay.transition.TransitionSim`) under both routes --
-the scalar big-int loops and the wide-word packed route (uint64
-arrays + the C pass kernel).  ``BENCH_delay.json`` records both arms'
-wall clock, the full :class:`repro.delay.clocking.DelayReport`
-(TDF coverage + test-clock cycle budget per set), and an
-``identical_coverage`` flag; ``--gate RATIO`` fails when the packed
-route is less than ``RATIO`` x faster than scalar (skipped with a
-visible notice when numpy or the kernel is unavailable).  The CI job
+the scalar big-int loops (a ``CompiledCircuit(engine="codegen")``
+circuit) and the wide-word packed route (uint64 arrays + the C pass
+kernel, an ``engine="auto"`` circuit).  ``BENCH_delay.json`` records
+both arms' wall clock, the full
+:class:`repro.delay.clocking.DelayReport` (TDF coverage + test-clock
+cycle budget per set), and an ``identical_coverage`` flag;
+``--gate RATIO`` fails when the packed route is less than ``RATIO`` x
+faster than scalar (skipped with a visible notice when numpy or the
+kernel is unavailable).  The CI job
 runs ``--delay --gate 3.0`` on the full-size circuit: the quick
 circuit's TDF workload is too small for the kernel to amortize its
 per-pass setup, so the gate would measure overhead, not the route.
@@ -136,8 +138,7 @@ from repro.power.activity import ActivityEngine
 from repro.sim.comb_sim import CombPatternSim
 from repro.sim.counters import SimCounters
 from repro.sim import npsim
-from repro.sim.fault_sim import (DEFAULT_WIDTH, FaultSimulator,
-                                 benchmark_packing)
+from repro.sim.fault_sim import DEFAULT_WIDTH, FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
@@ -234,8 +235,6 @@ def build_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     if not identical:
         print("ERROR: the arms disagree on results", file=sys.stderr)
 
-    winner, fused_s, chunked_s = benchmark_packing(circuit, faults,
-                                                   seed=seed)
     speedup = before["seconds"] / max(after["seconds"], 1e-9)
     numpy_speedup = None
     if numpy_arm is not None:
@@ -267,11 +266,6 @@ def build_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
         "speedup": round(speedup, 2),
         "numpy_speedup": numpy_speedup,
         "identical_results": identical,
-        "packing_probe": {
-            "winner": winner,
-            "fused_s": round(fused_s, 4),
-            "chunked_s": round(chunked_s, 4),
-        },
     }
 
 
@@ -888,18 +882,20 @@ def _delay_sets(netlist, comb, t0):
     return circuit, {"proposed": proposed, "baseline4": baseline}
 
 
-def _run_delay_route(circuit, sets, route: str,
+def _run_delay_route(netlist, sets, engine: str,
                      repeats: int = 3) -> Dict[str, Any]:
-    """One full TDF + clock-cost measurement under one route.
+    """One full TDF + clock-cost measurement on an ``engine`` circuit
+    (the TDF route follows the circuit's engine).
 
     Best wall clock of ``repeats`` identical measurements -- the TDF
     pass is sub-second, so a single sample is too noisy to gate on.
     """
+    circuit = CompiledCircuit(netlist, engine=engine)
     best = None
     report = None
     for _ in range(repeats):
         counters = SimCounters()
-        tsim = TransitionSim(circuit, counters=counters, route=route)
+        tsim = TransitionSim(circuit, counters=counters)
         started = time.perf_counter()
         report = measure_delay(tsim, sets)
         seconds = time.perf_counter() - started
@@ -907,7 +903,7 @@ def _run_delay_route(circuit, sets, route: str,
             best = (seconds, counters)
     seconds, counters = best
     return {
-        "route": route,
+        "route": tsim.route,
         "seconds": round(seconds, 3),
         "repeats": repeats,
         "tdf_passes": counters.tdf_passes,
@@ -932,19 +928,19 @@ def build_delay_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     """
     profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
     circuit, sets = _delay_sets(netlist, comb, t0)
-    tdf_faults = len(TransitionSim(circuit, route="scalar").faults)
+    tdf_faults = len(TransitionSim(circuit).faults)
     for label, test_set in sorted(sets.items()):
         print(f"set {label}: {len(test_set)} tests, "
               f"{test_set.clock_cycles()} cycles, "
               f"{test_set.at_speed_pairs()} at-speed pairs")
 
     print(f"scalar: {tdf_faults} transition faults ...", flush=True)
-    scalar = _run_delay_route(circuit, sets, "scalar")
+    scalar = _run_delay_route(netlist, sets, "codegen")
     print(f"  {scalar['seconds']}s ({scalar['tdf_passes']} passes)")
     packed = None
     if npsim.kernel_unavailable_reason() is None:
         print("packed: wide-word route ...", flush=True)
-        packed = _run_delay_route(circuit, sets, "packed")
+        packed = _run_delay_route(netlist, sets, "auto")
         print(f"  {packed['seconds']}s ({packed['tdf_passes']} passes)")
     else:
         print("NOTICE: packed TDF arm skipped (numpy or the C pass "

@@ -314,7 +314,6 @@ def measure_delay(
     sets: Dict[str, ScanTestSet],
     spec: Optional[ClockSpec] = None,
     workbench: Optional[Workbench] = None,
-    route: str = "auto",
 ) -> DelayReport:
     """Measure the at-speed quality of one or more final test sets.
 
@@ -343,15 +342,13 @@ def measure_delay(
         :class:`~repro.delay.clocking.ClockSpec`.
     workbench:
         Reuse an existing toolchain (its counters absorb the
-        ``tdf_*`` instrumentation); built fresh when omitted.
-    route:
-        Forwarded to :class:`~repro.delay.transition.TransitionSim`:
-        ``"auto"`` (packed wide-word route when numpy + the C kernel
-        are importable, scalar otherwise), ``"packed"`` (require it),
-        or ``"scalar"``.
+        ``tdf_*`` instrumentation); built fresh when omitted.  The
+        TDF simulator follows its circuit's engine: the C kernel
+        under ``"auto"`` when it loads, the big-int reference
+        otherwise.
     """
     wb = workbench or Workbench.for_netlist(netlist)
-    tsim = TransitionSim(wb.circuit, counters=wb.counters, route=route)
+    tsim = TransitionSim(wb.circuit, counters=wb.counters)
     return _measure_delay_sets(tsim, sets, spec=spec)
 
 

@@ -26,22 +26,25 @@ Simulation routes
 -----------------
 The simulator packs all launches of a frame into bit-parallel words
 and carries them through the remaining frames together, with early
-exit once a word's faults are all detected.  Two routes execute that
-plan:
+exit once a word's faults are all detected.  The circuit's engine
+picks the route, by the same rule as every stuck-at pass: the C
+kernel when ``CompiledCircuit(engine="auto")`` loaded it, big-int
+otherwise.
 
-* **scalar** (the reference): per-net Python big-int words, at most
-  ``width - 1`` faults per word, one interpreted ``eval_frame`` call
-  per frame per word -- exactly the semantics of the stuck-at engine's
-  big-int path.
-* **packed** (the fast path): every launch of a frame goes into one
-  multi-word ``uint64`` array chunk executed by the C pass kernel of
-  :mod:`repro.sim.npsim` -- one kernel call for the launch frame
-  (injection stems force the late value, scan-out only if it is also
-  the last frame) and one for the fault-free propagation suffix
-  (stem-free plan, primary outputs observed every frame, final state
-  scanned out).  The kernel writes the captured next state back into
-  the shared arrays between calls, so the two segments compose into
-  the exact scalar pass.
+* **scalar** (the reference, on ``engine="codegen"`` / ``"interp"``
+  circuits and when the kernel is unavailable): per-net Python
+  big-int words, at most ``_SCALAR_WIDTH - 1`` faults per word, one
+  ``eval_frame`` call per frame per word -- exactly the semantics of
+  the stuck-at engine's big-int path.
+* **packed** (the circuit's array backend): every launch of a frame
+  goes into one multi-word ``uint64`` array chunk executed by the C
+  pass kernel of :mod:`repro.sim.npsim` -- one kernel call for the
+  launch frame (injection stems force the late value, scan-out only
+  if it is also the last frame) and one for the fault-free
+  propagation suffix (stem-free plan, primary outputs observed every
+  frame, final state scanned out).  The kernel writes the captured
+  next state back into the shared arrays between calls, so the two
+  segments compose into the exact scalar pass.
 
 Detection is independent of how launches are grouped into words
 (every fault's machine evolves in its own bit-lane and the saturation
@@ -71,8 +74,9 @@ from ..sim.logicsim import CompiledCircuit
 #: per simulator when the sanitizer is armed.
 _SANITIZE_SPOT_BUDGET = 3
 
-#: Simulation routes accepted by :class:`TransitionSim`.
-ROUTES = ("auto", "packed", "scalar")
+#: Machine bits per scalar-route word: 127 launched faults plus the
+#: fault-free bit 0.
+_SCALAR_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -125,11 +129,10 @@ class _TdfChunk:
 class TransitionSim:
     """Transition-fault simulator bound to one circuit.
 
-    ``route`` selects the execution path: ``"scalar"`` forces the
-    big-int reference, ``"packed"`` demands the numpy + C-kernel path
-    (raising when it is unavailable), and ``"auto"`` -- the default --
-    takes the packed path when it can and falls back to scalar
-    otherwise.  The resolved choice is exposed as :attr:`route`.
+    Captures run on the circuit's array backend when it has one (the
+    packed route) and on the big-int reference otherwise; the resolved
+    choice is exposed as :attr:`route`.  Build the circuit with
+    ``engine="codegen"`` or ``"interp"`` to get the reference.
     Pass the workbench's shared
     :class:`~repro.sim.counters.SimCounters` to surface
     ``tdf_passes`` / ``tdf_words`` / ``tdf_s`` in the engine counters
@@ -138,27 +141,20 @@ class TransitionSim:
 
     def __init__(self, circuit: CompiledCircuit,
                  faults: Optional[Sequence[TransitionFault]] = None,
-                 width: int = 128,
-                 counters: Optional[SimCounters] = None,
-                 route: str = "auto") -> None:
+                 counters: Optional[SimCounters] = None) -> None:
         self.circuit = circuit
         self.faults: List[TransitionFault] = list(
             faults if faults is not None
             else all_transition_faults(circuit.netlist))
         self.index: Dict[TransitionFault, int] = {
             f: i for i, f in enumerate(self.faults)}
-        self.width = width
         self.counters = counters if counters is not None \
             else SimCounters()
         ids = circuit.netlist.net_ids
         self._nid: List[int] = [ids[f.net] for f in self.faults]
         self._src_ids = frozenset(circuit.pi_ids) | \
             frozenset(circuit.ff_ids)
-        if route not in ROUTES:
-            raise ValueError(f"unknown TDF route {route!r}; "
-                             f"use one of {ROUTES}")
-        self._backend = self._resolve_backend(route)
-        self.route = "packed" if self._backend is not None else "scalar"
+        self._backend = circuit.array_backend
         self._plain_plans: "OrderedDict[int, Any]" = OrderedDict()
         self._stem_site_buf: Optional[Any] = None
         self._stem_dirty: List[int] = []
@@ -168,29 +164,11 @@ class TransitionSim:
     #: size (they are a pure function of the word width).
     _PLAIN_PLAN_CACHE_SIZE = 8
 
-    def _resolve_backend(self, route: str) -> Optional[Any]:
-        """The :class:`~repro.sim.npsim.ArrayBackend` to run packed
-        captures on, or ``None`` for the scalar route.
-
-        Reuses the circuit's backend under ``engine="auto"``;
-        otherwise builds one for TDF work alone (cached on the circuit
-        -- the kernel plan arrays are circuit-wide) so ``--delay`` is
-        fast under the big-int engines too.
-        """
-        if route == "scalar":
-            return None
-        from ..sim import npsim
-        backend = self.circuit.array_backend
-        if backend is None and npsim.kernel_unavailable_reason() is None:
-            backend = getattr(self.circuit, "_tdf_array_backend", None)
-            if backend is None:
-                backend = npsim.ArrayBackend(self.circuit)
-                self.circuit._tdf_array_backend = backend  # type: ignore[attr-defined]
-        if backend is None and route == "packed":
-            raise RuntimeError(
-                "the packed TDF route requires the compiled C pass "
-                f"kernel: {npsim.kernel_unavailable_reason()}")
-        return backend
+    @property
+    def route(self) -> str:
+        """``"packed"`` on the circuit's array backend, else
+        ``"scalar"``."""
+        return "packed" if self._backend is not None else "scalar"
 
     # ------------------------------------------------------------------
     def detect_test(self, test: ScanTest,
@@ -276,7 +254,7 @@ class TransitionSim:
         circuit = self.circuit
         detected: Set[int] = set()
         last = test.length - 1
-        per = self.width - 1
+        per = _SCALAR_WIDTH - 1
         for start in range(0, len(launched), per):
             group = launched[start:start + per]
             mask = (1 << (len(group) + 1)) - 1

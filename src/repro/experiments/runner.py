@@ -129,7 +129,8 @@ def run_circuit(
         Also run the [4] and [2,3] baselines.
     delay:
         Also measure at-speed quality of the final test sets:
-        transition-fault coverage (wide-word route when available)
+        transition-fault coverage (on the C kernel under
+        ``"auto"`` when it loads, the big-int reference otherwise)
         plus the test-clock cycle budget, recorded as
         :attr:`CircuitRun.delay` (and, flattened, in
         :attr:`CircuitRun.transition`).

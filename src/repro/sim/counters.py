@@ -29,7 +29,10 @@ Counting convention
   scoreboard already knew them detected, or because an in-pass repack
   removed their machine bits mid-sequence.
 * ``repacks`` -- in-pass word compactions performed by
-  :meth:`~repro.sim.fault_sim.FaultSimulator.detect`.
+  :meth:`~repro.sim.fault_sim.FaultSimulator.detect`.  The lane passes
+  (``detect_trials`` / ``detect_candidates``) never repack, on either
+  backend, so ``repacks`` and ``faults_dropped`` do not depend on
+  the engine.
 * ``detect_passes`` / ``record_passes`` / ``candidate_passes`` --
   calls into :meth:`~repro.sim.fault_sim.FaultSimulator.detect` /
   :meth:`~repro.sim.fault_sim.FaultSimulator.run_with_records` /

@@ -16,12 +16,8 @@ runs ``"auto"``, integer widths are the chunked test oracle):
   balanced chunks of at most :data:`FUSED_CAP` machines for huge
   fault sets (beyond a few thousand machine bits the per-digit cost
   of big-int arithmetic starts to win over the per-pass interpreter
-  overhead; :func:`benchmark_packing` measures the crossover for a
-  concrete circuit).  The cap honors the ``REPRO_FUSED_CAP``
-  environment variable, read at :class:`FaultSimulator`
-  *construction* (not at module import -- each simulator snapshots
-  the value, so tests and benchmarks can override it per instance;
-  an explicit ``fused_cap=`` argument beats the environment).
+  overhead).  The ``fused_cap=`` constructor argument lowers the cap
+  for one simulator (a test seam for multi-chunk packings).
 * an integer ``N`` -- classic fixed-width chunking with ``N - 1``
   faulty machines per word (the pre-fusion engine; ``N = 128`` is the
   historical default, kept as :data:`DEFAULT_WIDTH`).
@@ -61,12 +57,15 @@ Three entry points cover all the needs of the compaction procedures:
   frame.  This turns the paper's Phase-1 Step 3 scan over all candidate
   scan-out times into one simulation plus a cheap post-pass (the result
   is identical to simulating every candidate, by construction).
-* :meth:`FaultSimulator.detect_candidates` -- the *transposed* packing
-  mode: candidate scan-in states occupy the lanes (one lane per
-  candidate, per-lane initial flip-flop state) and each fault is
-  injected across all lanes at once, turning the ``|C|`` sequence
+* :meth:`FaultSimulator.detect_trials` -- the *transposed* packing
+  mode: independent tests occupy the lanes (one lane per test, each
+  with its own scan-in state and PI sequence) and each fault is
+  injected across all lanes at once.  Phase-4 merge trials use it
+  directly; :meth:`FaultSimulator.detect_candidates` is the batch
+  whose trials share one sequence, turning the ``|C|`` sequence
   passes of Phase-1 Step 2 into ``ceil(F / groups-per-word)`` passes
-  with per-lane detection words.  See DESIGN.md section 9.
+  with per-lane detection words.  Both run the same lane pass (no
+  in-pass repack) on either backend.  See DESIGN.md section 9.
 
 Detection semantics (see DESIGN.md section 4): a binary good/faulty
 difference at a primary output in any functional frame, or -- when a
@@ -76,8 +75,6 @@ captured by the final frame.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -94,16 +91,9 @@ DEFAULT_WIDTH = 128
 #: Machine-bit cap per fused word under ``width="auto"``.  Beyond this
 #: the per-digit cost of big-int ops outweighs the saved passes, so
 #: auto mode falls back to balanced chunks of at most this many
-#: machines.  Override with the ``REPRO_FUSED_CAP`` environment
-#: variable (read at :class:`FaultSimulator` construction, so tests
-#: and benchmarks can override it per simulator); measure a specific
-#: circuit with :func:`benchmark_packing`.
+#: machines.  Tests pass a smaller ``fused_cap=`` to
+#: :class:`FaultSimulator` to force multi-chunk packings.
 FUSED_CAP = 4096
-
-
-def _resolve_fused_cap() -> int:
-    """The effective fused cap: ``REPRO_FUSED_CAP`` or the default."""
-    return int(os.environ.get("REPRO_FUSED_CAP", FUSED_CAP))
 
 
 #: In-pass retirement fires only when a word still has at least this
@@ -112,9 +102,6 @@ _REPACK_MIN_MACHINES = 64
 #: ... at least half of them are already caught, and at least this many
 #: frames remain to amortize the bit-gather cost of the repack.
 _REPACK_MIN_FRAMES_LEFT = 8
-#: Lane-transposed passes repack only words carrying at least this many
-#: fault groups (mirrors ``_REPACK_MIN_MACHINES`` for candidate lanes).
-_REPACK_MIN_GROUPS = 8
 
 #: Under ``REPRO_SANITIZE`` each simulator cross-checks its first few
 #: ``detect`` passes against a freshly packed shadow engine (fused vs
@@ -152,12 +139,12 @@ class _LaneChunk:
 
     The word is laid out as ``n_groups`` blocks of ``n_lanes`` bits:
     block ``g`` carries fault ``indices[g]`` simulated simultaneously
-    in every candidate lane (lane ``k`` of every block starts from
-    candidate ``k``'s scan-in state).  There is no good-machine bit --
-    the fault-free reference comes from a separate good pass over the
-    same lanes.  ``stems``/``branch``/``ff_branch`` use the same mask
-    format as :class:`_Chunk`, with each fault's masks covering its
-    whole lane block.
+    in every trial lane (lane ``k`` of every block runs trial ``k``).
+    There is no good-machine bit -- the fault-free reference comes
+    from a separate good pass over the same lanes.
+    ``stems``/``branch``/``ff_branch`` use the same mask format as
+    :class:`_Chunk`, with each fault's masks covering its whole lane
+    block.
     """
 
     indices: List[int]                 # fault id of lane block g
@@ -181,17 +168,6 @@ class _LaneChunk:
         """
         block = 1 << self.n_lanes
         return (block ** self.n_groups - 1) // (block - 1)
-
-
-def _gather_blocks(word: int, keep_groups: Sequence[int],
-                   n_lanes: int) -> int:
-    """Concatenate the ``n_lanes``-bit blocks of ``word`` selected by
-    ``keep_groups`` (in order) into a narrower word."""
-    lane_mask = (1 << n_lanes) - 1
-    out = 0
-    for new_g, g in enumerate(keep_groups):
-        out |= ((word >> (g * n_lanes)) & lane_mask) << (new_g * n_lanes)
-    return out
 
 
 def _pack_trial_pi_lanes(
@@ -315,9 +291,7 @@ class FaultSimulator:
                  width: WidthPolicy = "auto",
                  scan_positions: Optional[Sequence[int]] = None,
                  counters: Optional[SimCounters] = None,
-                 fused_cap: Optional[int] = None) -> None:
-        if fused_cap is None:
-            fused_cap = _resolve_fused_cap()
+                 fused_cap: int = FUSED_CAP) -> None:
         if width == "auto":
             if fused_cap < 2:
                 raise ValueError("fused_cap must allow at least one "
@@ -891,7 +865,7 @@ class FaultSimulator:
         return SimRecords(n_frames, po_first, scan_diff)
 
     # ------------------------------------------------------------------
-    # Candidate-parallel (lane-transposed) simulation
+    # Lane-transposed simulation: trial batches and candidate scans
     # ------------------------------------------------------------------
 
     def _lane_groups_per_word(self, n_lanes: int) -> int:
@@ -901,13 +875,11 @@ class FaultSimulator:
         cap = self.fused_cap if self.width == "auto" else self.width
         return max(1, cap // n_lanes)
 
-    def _build_lane_chunks(self, indices: Sequence[int], n_lanes: int,
-                           groups_per_word: Optional[int] = None
-                           ) -> List[_LaneChunk]:
+    def _build_lane_chunks(self, indices: Sequence[int],
+                           n_lanes: int) -> List[_LaneChunk]:
         """Balanced lane-transposed chunks over sorted ``indices``."""
         ordered = sorted(indices)
-        if groups_per_word is None:
-            groups_per_word = self._lane_groups_per_word(n_lanes)
+        groups_per_word = self._lane_groups_per_word(n_lanes)
         n_chunks = max(1, -(-len(ordered) // groups_per_word)) \
             if ordered else 0
         adi = self._adi_order
@@ -953,49 +925,6 @@ class FaultSimulator:
             chunks.append(chunk)
         return chunks
 
-    def _good_candidate_pass(
-        self, vectors: Sequence[V.Vector],
-        full_states: Sequence[V.Vector],
-        observe_po: bool, scan_out: bool,
-        scan_observe: Optional[Sequence[int]],
-    ) -> Tuple[List[List[Tuple[int, int]]],
-               Optional[List[Tuple[int, int]]]]:
-        """One fault-free pass with candidate ``k`` in lane ``k``.
-
-        Returns ``(po_frames, final_state)``: the per-frame primary-
-        output lane words (empty inner lists when ``observe_po`` is
-        false) and the flip-flop lane words captured by the last frame
-        at the observed positions (None without ``scan_out``).
-        """
-        circuit = self.circuit
-        n_lanes = len(full_states)
-        lane_mask = (1 << n_lanes) - 1
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for ff_pos, nid in enumerate(circuit.ff_ids):
-            zero[nid], one[nid] = V.pack_lanes(
-                [s[ff_pos] for s in full_states])
-        po_frames: List[List[Tuple[int, int]]] = []
-        final_state: Optional[List[Tuple[int, int]]] = None
-        last = len(vectors) - 1
-        for frame, vector in enumerate(vectors):
-            for nid, val in zip(circuit.pi_ids, vector):
-                zero[nid], one[nid] = V.pack_scalar(val, lane_mask)
-            circuit.eval_frame(zero, one, lane_mask)
-            self.counters.note_words(1, n_lanes)
-            po_frames.append([(zero[nid], one[nid])
-                              for nid in circuit.po_ids]
-                             if observe_po else [])
-            ns = [(zero[nid], one[nid]) for nid in circuit.ff_d_ids]
-            if scan_out and frame == last:
-                if scan_observe is None:
-                    final_state = ns
-                else:
-                    final_state = [ns[pos] for pos in scan_observe]
-            for nid, (z, o) in zip(circuit.ff_ids, ns):
-                zero[nid], one[nid] = z, o
-        return po_frames, final_state
-
     def detect_candidates(
         self,
         vectors: Sequence[V.Vector],
@@ -1011,16 +940,10 @@ class FaultSimulator:
 
         Instead of one full-sequence :meth:`detect` pass per candidate
         scan-in state (faults in the lanes, ``|C|`` passes), the
-        *candidates* occupy the lanes: one fault-free pass simulates
-        every candidate's good machine simultaneously (gates evaluate
-        bitwise, so lanes never interact), then the target faults are
-        packed ``groups x lanes`` into wide words and each fault is
-        injected across all candidate lanes in one pass.  Per-lane
-        detection is the usual binary good/faulty difference, compared
-        lane-by-lane against the recorded good pass.  A fault caught
-        in every lane retires mid-pass (its lane block repacks away);
-        it contributes to every candidate equally, so retirement can
-        never change the per-candidate counts this method reports.
+        *candidates* occupy the lanes: the call is a
+        :meth:`detect_trials` batch whose trials all share
+        ``vectors`` (so every lane is active on every frame and, with
+        ``scan_out``, ends on the last one).
 
         Returns one detected-fault-index set per candidate, exactly
         equal to ``[detect(vectors, s, target, early_exit=False) for s
@@ -1028,206 +951,13 @@ class FaultSimulator:
         bit).
         """
         self._check_vectors(vectors)
-        full_states = [self.embed_state(s) for s in init_states]
-        if scan_observe is None:
-            scan_observe = self.scan_positions
-        n_lanes = len(full_states)
-        detected: List[Set[int]] = [set() for _ in range(n_lanes)]
-        if n_lanes == 0:
-            return detected
-        if target is None:
-            target = range(len(self.faults))
-        sim_target, expand = self._prepare_target(target)
-        target_list = sorted(sim_target)
-        counters = self.counters
-        counters.candidate_passes += 1
-        if not vectors or not target_list:
-            return detected
-        good_po, good_scan = self._good_candidate_pass(
-            vectors, full_states, observe_po, scan_out, scan_observe)
-        counters.frames += len(vectors)
-        init_words = [V.pack_lanes([s[ff_pos] for s in full_states])
-                      for ff_pos in range(len(self.circuit.ff_ids))]
-        lane_chunks = self._build_lane_chunks(target_list, n_lanes)
-        if sanitizer.enabled():
-            for chunk in lane_chunks:
-                sanitizer.check_lane_chunk(
-                    chunk, "FaultSimulator.detect_candidates")
-        # Lazily-built trial-form inputs for the array backend: every
-        # lane shares the PI sequence, is active on every frame, and
-        # (with scan_out) ends on the last frame.
-        trial_form: Optional[Tuple[List[List[Tuple[int, int]]],
-                                   List[int], List[int],
-                                   List[Optional[List[Tuple[int, int]]]],
-                                   List[int]]] = None
-        longest = 0
-        for chunk in lane_chunks:
-            backend = self._array_backend()
-            if backend is not None:
-                if trial_form is None:
-                    lane_mask = (1 << n_lanes) - 1
-                    pi_words = [
-                        [V.pack_scalar(val, lane_mask) for val in vec]
-                        for vec in vectors]
-                    acts = [lane_mask] * len(vectors)
-                    ends = [0] * len(vectors)
-                    scan_frames: List[
-                        Optional[List[Tuple[int, int]]]] = \
-                        [None] * len(vectors)
-                    if scan_out and good_scan is not None:
-                        ends[-1] = lane_mask
-                        scan_frames[-1] = list(good_scan)
-                    slot_pos = list(
-                        range(len(self.circuit.ff_ids))
-                        if scan_observe is None else scan_observe)
-                    trial_form = (pi_words, acts, ends, scan_frames,
-                                  slot_pos)
-                pi_words, acts, ends, scan_frames, slot_pos = trial_form
-                caught, frames_done = backend.run_lane_chunk(
-                    self, chunk, len(vectors), pi_words, acts, ends,
-                    init_words, good_po, scan_frames, slot_pos,
-                    observe_po)
-                longest = max(longest, frames_done)
-                lane_mask = (1 << n_lanes) - 1
-                for g, fid in enumerate(chunk.indices):
-                    lanes = (caught >> (g * n_lanes)) & lane_mask
-                    k = 0
-                    while lanes:
-                        if lanes & 1:
-                            detected[k].add(fid)
-                        lanes >>= 1
-                        k += 1
-                continue
-            longest = max(longest, self._run_lane_chunk(
-                chunk, vectors, init_words, good_po, good_scan,
-                observe_po, scan_out, scan_observe, detected))
-        counters.frames += longest
-        if expand is not None:
-            detected = [self._expand_detected(lane, expand)
-                        for lane in detected]
-        return detected
-
-    def _run_lane_chunk(
-        self, chunk: _LaneChunk, vectors: Sequence[V.Vector],
-        init_words: Sequence[Tuple[int, int]],
-        good_po: List[List[Tuple[int, int]]],
-        good_scan: Optional[List[Tuple[int, int]]],
-        observe_po: bool, scan_out: bool,
-        scan_observe: Optional[Sequence[int]],
-        detected: List[Set[int]],
-    ) -> int:
-        """One faulty pass over a lane-transposed chunk.
-
-        Accumulates per-lane detections into ``detected`` and returns
-        the number of frames actually simulated.
-        """
-        circuit = self.circuit
-        counters = self.counters
-        n_lanes = chunk.n_lanes
-        lane_mask = (1 << n_lanes) - 1
-        rep = chunk.replication
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for (z, o), nid in zip(init_words, circuit.ff_ids):
-            zero[nid], one[nid] = z * rep, o * rep
-        caught = 0
-        frame = 0
-        frames_done = 0
-        last = len(vectors) - 1
-        while frame <= last:
-            full_mask = chunk.mask
-            for nid, val in zip(circuit.pi_ids, vectors[frame]):
-                zero[nid], one[nid] = V.pack_scalar(val, full_mask)
-            for nid in chunk.src_stem_ids:
-                m0, m1 = chunk.stems[nid]
-                keep = full_mask & ~(m0 | m1)
-                zero[nid] = (zero[nid] & keep) | m0
-                one[nid] = (one[nid] & keep) | m1
-            circuit.eval_frame(zero, one, full_mask, chunk.stems,
-                               chunk.branch)
-            counters.note_words(1, chunk.n_groups * n_lanes)
-            frames_done += 1
-            ns_zero = [zero[nid] for nid in circuit.ff_d_ids]
-            ns_one = [one[nid] for nid in circuit.ff_d_ids]
-            for pos, m0, m1 in chunk.ff_branch:
-                keep = full_mask & ~(m0 | m1)
-                ns_zero[pos] = (ns_zero[pos] & keep) | m0
-                ns_one[pos] = (ns_one[pos] & keep) | m1
-            if observe_po:
-                frame_po = good_po[frame]
-                for po_i, nid in enumerate(circuit.po_ids):
-                    gz, go = frame_po[po_i]
-                    # Lane detected <=> good binary b, faulty binary ~b.
-                    caught |= ((gz * rep) & one[nid]) | \
-                              ((go * rep) & zero[nid])
-            if scan_out and frame == last:
-                positions = (range(len(ns_zero)) if scan_observe is None
-                             else scan_observe)
-                for slot, pos in enumerate(positions):
-                    gz, go = good_scan[slot]
-                    caught |= ((gz * rep) & ns_one[pos]) | \
-                              ((go * rep) & ns_zero[pos])
-            if caught == chunk.mask:
-                # Every fault caught in every lane: no later frame nor
-                # the scan-out can change any per-lane set.
-                break
-            if (chunk.n_groups >= _REPACK_MIN_GROUPS and
-                    last - frame >= _REPACK_MIN_FRAMES_LEFT and caught):
-                saturated = [
-                    g for g in range(chunk.n_groups)
-                    if (caught >> (g * n_lanes)) & lane_mask == lane_mask]
-                if 2 * len(saturated) >= chunk.n_groups:
-                    # Retire faults detected in every lane: they add
-                    # one to every candidate count, so dropping their
-                    # lane blocks cannot change the argmax inputs.
-                    for g in saturated:
-                        fid = chunk.indices[g]
-                        for lane_set in detected:
-                            lane_set.add(fid)
-                    sat_set = set(saturated)
-                    keep_groups = [g for g in range(chunk.n_groups)
-                                   if g not in sat_set]
-                    remaining = [chunk.indices[g] for g in keep_groups]
-                    new_chunk = self._build_lane_chunks(
-                        remaining, n_lanes,
-                        groups_per_word=len(remaining))[0]
-                    if sanitizer.enabled():
-                        sanitizer.check_lane_chunk(
-                            new_chunk,
-                            "FaultSimulator.detect_candidates repack")
-                    gathered_z = [0] * circuit.n_nets
-                    gathered_o = [0] * circuit.n_nets
-                    for ff_pos, nid in enumerate(circuit.ff_ids):
-                        gathered_z[nid] = _gather_blocks(
-                            ns_zero[ff_pos], keep_groups, n_lanes)
-                        gathered_o[nid] = _gather_blocks(
-                            ns_one[ff_pos], keep_groups, n_lanes)
-                    # Partially-caught lanes of surviving groups stay
-                    # caught across the repack.
-                    caught = _gather_blocks(caught, keep_groups, n_lanes)
-                    zero, one = gathered_z, gathered_o
-                    chunk = new_chunk
-                    rep = chunk.replication
-                    counters.repacks += 1
-                    counters.faults_dropped += len(saturated)
-                    frame += 1
-                    continue
-            for nid, z, o in zip(circuit.ff_ids, ns_zero, ns_one):
-                zero[nid], one[nid] = z, o
-            frame += 1
-        for g, fid in enumerate(chunk.indices):
-            lanes = (caught >> (g * n_lanes)) & lane_mask
-            k = 0
-            while lanes:
-                if lanes & 1:
-                    detected[k].add(fid)
-                lanes >>= 1
-                k += 1
-        return frames_done
-
-    # ------------------------------------------------------------------
-    # Trial-parallel (lane-batched independent tests) simulation
-    # ------------------------------------------------------------------
+        if not init_states:
+            return []
+        self.counters.candidate_passes += 1
+        shared = list(vectors)
+        return self._detect_lanes(
+            [(self.embed_state(s), shared) for s in init_states],
+            target, scan_out, observe_po, scan_observe)
 
     def detect_trials(
         self,
@@ -1260,14 +990,30 @@ class FaultSimulator:
         backend's lane kernel under ``engine="auto"``.
         """
         trial_list = list(trials)
-        n_lanes = len(trial_list)
-        results: List[Set[int]] = [set() for _ in range(n_lanes)]
-        if n_lanes == 0:
-            return results
+        if not trial_list:
+            return []
         full_trials: List[Tuple[V.Vector, List[V.Vector]]] = []
         for state, vectors in trial_list:
             self._check_vectors(vectors)
             full_trials.append((self.embed_state(state), list(vectors)))
+        self.counters.trial_passes += 1
+        self.counters.trial_lanes += len(full_trials)
+        return self._detect_lanes(full_trials, target, scan_out,
+                                  observe_po, scan_observe)
+
+    def _detect_lanes(
+        self,
+        full_trials: Sequence[Tuple[V.Vector, Sequence[V.Vector]]],
+        target: Optional[Sequence[int]],
+        scan_out: bool, observe_po: bool,
+        scan_observe: Optional[Sequence[int]],
+    ) -> List[Set[int]]:
+        """The lane pass behind :meth:`detect_trials` and
+        :meth:`detect_candidates`: trial ``k`` (full-width state,
+        vectors) in lane ``k`` of every lane block, one good pass,
+        then one faulty pass per lane chunk (kernel or big-int)."""
+        n_lanes = len(full_trials)
+        results: List[Set[int]] = [set() for _ in range(n_lanes)]
         if scan_observe is None:
             scan_observe = self.scan_positions
         if target is None:
@@ -1275,8 +1021,6 @@ class FaultSimulator:
         sim_target, expand = self._prepare_target(target)
         target_list = sorted(sim_target)
         counters = self.counters
-        counters.trial_passes += 1
-        counters.trial_lanes += n_lanes
         max_frames = max(len(v) for _, v in full_trials)
         if max_frames == 0 or not target_list:
             return results
@@ -1294,7 +1038,7 @@ class FaultSimulator:
         if sanitizer.enabled():
             for chunk in chunks:
                 sanitizer.check_lane_chunk(
-                    chunk, "FaultSimulator.detect_trials")
+                    chunk, "FaultSimulator._detect_lanes")
         lane_mask = (1 << n_lanes) - 1
         longest = 0
         for chunk in chunks:
@@ -1415,11 +1159,11 @@ class FaultSimulator:
         good_scan: Sequence[Optional[Sequence[Tuple[int, int]]]],
         slot_pos: Sequence[int], observe_po: bool,
     ) -> Tuple[int, int]:
-        """One faulty big-int pass over a trial-lane chunk.
+        """One faulty big-int pass over a lane chunk.
 
-        Mirrors :meth:`_run_lane_chunk` with per-lane PI words and
-        the ``acts`` / ``ends`` gating (no in-pass repack: trial
-        batches are short and bounded at 64 lanes).  Returns
+        Per-lane PI words with the ``acts`` / ``ends`` gating; no
+        in-pass repack (the kernel's lane pass has none either, so
+        both backends report the same counters).  Returns
         ``(caught, frames_done)``.
         """
         circuit = self.circuit
@@ -1489,41 +1233,6 @@ class FaultSimulator:
                   else self.faults.indices(target_faults))
         detected = self.detect(vectors, init_state, target, **kwargs)
         return {self.faults[i] for i in detected}
-
-
-def benchmark_packing(
-    circuit: CompiledCircuit,
-    faults: FaultSet,
-    frames: int = 8,
-    chunk_width: int = DEFAULT_WIDTH,
-    seed: int = 0,
-) -> Tuple[str, float, float]:
-    """Measure fused vs chunked packing on a concrete circuit.
-
-    Runs one short random-sequence pass over the whole fault set under
-    each policy and returns ``(winner, fused_seconds, chunked_seconds)``
-    where ``winner`` is ``"auto"`` or ``chunk_width``-as-int semantics
-    (``"chunked"``).  This is the measurement behind the ``"auto"``
-    heuristics: on every circuit we have benchmarked, fusion wins until
-    word widths reach several thousand bits (:data:`FUSED_CAP`), which
-    is why ``"auto"`` simply fuses below the cap.  Use this helper when
-    validating the cap for an unusual circuit; ``emit_bench.py``
-    records its verdict in ``BENCH_engine.json``.
-    """
-    import random as _random
-    rng = _random.Random(seed)
-    vectors = [V.random_binary_vector(len(circuit.pi_ids), rng)
-               for _ in range(frames)]
-    init = V.random_binary_vector(len(circuit.ff_ids), rng)
-    timings = []
-    for policy in ("auto", chunk_width):
-        sim = FaultSimulator(circuit, faults, width=policy)
-        start = time.perf_counter()
-        sim.detect(vectors, init, early_exit=False)
-        timings.append(time.perf_counter() - start)
-    fused_s, chunked_s = timings
-    return ("auto" if fused_s <= chunked_s else "chunked",
-            fused_s, chunked_s)
 
 
 @dataclass

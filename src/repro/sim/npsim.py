@@ -1182,15 +1182,16 @@ class ArrayBackend:
     ) -> Tuple[int, int]:
         """One lane-transposed pass chunk on the C kernel.
 
-        Serves both :meth:`FaultSimulator.detect_trials` (per-lane PI
-        words, ragged ``acts`` / ``ends`` masks) and the kernel route
-        of :meth:`FaultSimulator.detect_candidates` (shared PI words,
-        all lanes active, scan-out only on the last frame).  All lane
-        words arrive *unreplicated* (one block wide); the block
-        replication across fault groups happens here, in big-int
-        arithmetic, before the one-shot array conversion.  Returns
-        ``(caught, frames_done)`` with ``caught`` a big-int over the
-        chunk's ``n_groups * n_lanes`` bits.
+        The faulty half of :meth:`FaultSimulator._detect_lanes`, the
+        lane pass behind ``detect_trials`` (per-lane PI words, ragged
+        ``acts`` / ``ends`` masks) and ``detect_candidates`` (the same
+        call with every trial sharing one sequence).  Like the big-int
+        ``_run_trial_chunk`` it never repacks.  All lane words arrive
+        *unreplicated* (one block wide); the block replication across
+        fault groups happens here, in big-int arithmetic, before the
+        one-shot array conversion.  Returns ``(caught, frames_done)``
+        with ``caught`` a big-int over the chunk's
+        ``n_groups * n_lanes`` bits.
         """
         np = self.np
         counters = sim.counters

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits import library, synth
 from repro.core.scan_test import ScanTest, ScanTestSet
 from repro.delay import transition as transition_mod
-from repro.delay.transition import (ROUTES, TransitionFault,
-                                    TransitionSim, all_transition_faults)
+from repro.delay.transition import (TransitionFault, TransitionSim,
+                                    all_transition_faults)
 from repro.sim import values as V
 from repro.sim.counters import SimCounters
 from repro.sim.logicsim import CompiledCircuit, simulate_sequence
@@ -175,18 +175,18 @@ _EQ_CACHE = {}
 
 
 def sims_for(seed):
-    """One scalar + one packed simulator per engine, cached across
+    """A scalar simulator per big-int engine, each paired with one
+    packed simulator on an ``engine="auto"`` circuit, cached across
     hypothesis examples (fault lists and packing plans are per-circuit
     and expensive to rebuild every example)."""
     if seed not in _EQ_CACHE:
         net = synth.generate("tdfeq", _N_PI, _N_FF, 4, 25, seed=seed)
-        pairs = []
-        for engine in ("codegen", "interp"):
-            cc = CompiledCircuit(net.copy(), engine=engine)
-            scalar = TransitionSim(cc, route="scalar")
-            packed = TransitionSim(cc, route="packed")
-            pairs.append((scalar, packed))
-        _EQ_CACHE[seed] = pairs
+        packed = TransitionSim(CompiledCircuit(net.copy(), engine="auto"))
+        assert packed.route == "packed"
+        _EQ_CACHE[seed] = [
+            (TransitionSim(CompiledCircuit(net.copy(), engine=engine)),
+             packed)
+            for engine in ("codegen", "interp")]
     return _EQ_CACHE[seed]
 
 
@@ -206,25 +206,29 @@ def _vectors(data, rng, n):
 
 
 class TestRouteSelection:
+    """The route follows the circuit's engine; there is no knob."""
+
     def test_unknown_route_rejected(self, s27):
-        with pytest.raises(ValueError, match="unknown TDF route"):
-            TransitionSim(CompiledCircuit(s27), route="fused")
-        assert ROUTES == ("auto", "packed", "scalar")
+        for knob in ({"route": "scalar"}, {"width": 128}):
+            with pytest.raises(TypeError):
+                TransitionSim(CompiledCircuit(s27), **knob)
+        assert not hasattr(transition_mod, "ROUTES")
 
     def test_scalar_route_forced(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="scalar")
-        assert sim.route == "scalar"
+        for engine in ("codegen", "interp"):
+            sim = TransitionSim(CompiledCircuit(s27, engine=engine))
+            assert sim.route == "scalar"
 
     def test_auto_resolves(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="auto")
-        assert sim.route in ("packed", "scalar")
-        if _PACKED_OK:
-            assert sim.route == "packed"
+        sim = TransitionSim(CompiledCircuit(s27, engine="auto"))
+        assert sim.route == ("packed" if _PACKED_OK else "scalar")
 
     @needs_packed
     def test_packed_route_forced(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="packed")
+        cc = CompiledCircuit(s27, engine="auto")
+        sim = TransitionSim(cc)
         assert sim.route == "packed"
+        assert sim._backend is cc.array_backend
 
     def test_counters_surface_tdf_fields(self, s27):
         counters = SimCounters()
@@ -243,9 +247,10 @@ class TestRouteSelection:
 
 @needs_packed
 class TestRouteEquivalence:
-    """The packed kernel route must be byte-identical to the scalar
-    big-int reference -- including X-laden stimuli, restricted targets
-    and multi-word launch groups -- on both big-int engines."""
+    """The packed kernel route (an ``engine="auto"`` circuit) must be
+    byte-identical to the scalar big-int reference -- including X-laden
+    stimuli, restricted targets and multi-word launch groups -- on both
+    big-int engines."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=eq_seeds, data=st.data())
@@ -279,7 +284,8 @@ class TestRouteEquivalence:
             scalar.detect_test(test, some) == some
 
     def test_length_one_detects_nothing_packed(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="packed")
+        sim = TransitionSim(CompiledCircuit(s27, engine="auto"))
+        assert sim.route == "packed"
         test = ScanTest(V.vec("000"), (V.vec("1111"),))
         assert sim.detect_test(test) == set()
 
@@ -287,9 +293,9 @@ class TestRouteEquivalence:
         """A circuit with > 63 faults forces multi-word uint64 chunks;
         detection must still match the scalar route exactly."""
         net = synth.generate("tdfwide", 5, 4, 8, 80, seed=11)
-        cc = CompiledCircuit(net)
-        scalar = TransitionSim(cc, route="scalar")
-        packed = TransitionSim(cc, route="packed")
+        scalar = TransitionSim(CompiledCircuit(net, engine="codegen"))
+        packed = TransitionSim(CompiledCircuit(net.copy(), engine="auto"))
+        assert (scalar.route, packed.route) == ("scalar", "packed")
         assert len(packed.faults) > 63
         rng = random.Random(2)
         tests = [ScanTest(V.random_binary_vector(4, rng),
@@ -305,7 +311,8 @@ class TestRouteEquivalence:
         violation is reported and the spot budget is consumed."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         net = synth.generate("tdfsan", 4, 3, 5, 30, seed=5)
-        sim = TransitionSim(CompiledCircuit(net), route="packed")
+        sim = TransitionSim(CompiledCircuit(net, engine="auto"))
+        assert sim.route == "packed"
         rng = random.Random(9)
         vectors = tuple(V.random_binary_vector(4, rng)
                         for _ in range(10))
@@ -328,8 +335,8 @@ class TestRouteEquivalence:
                 monkeypatch.setenv("REPRO_SANITIZE", "1")
             else:
                 monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-            sim = TransitionSim(CompiledCircuit(net.copy()),
-                                route="packed")
+            sim = TransitionSim(CompiledCircuit(net.copy(),
+                                                engine="auto"))
             sim.detect_test(test)
             counts.append((sim.counters.tdf_passes,
                            sim.counters.tdf_words))

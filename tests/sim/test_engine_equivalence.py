@@ -532,9 +532,12 @@ class TestEngineSelection:
 
     def test_auto_without_kernel_matches_interp(self, monkeypatch):
         """When the kernel cannot load, engine="auto" has no array
-        backend and runs big-int codegen, byte-identical to interp."""
+        backend and runs big-int codegen, byte-identical to interp --
+        the TDF simulator included: it follows the circuit onto the
+        scalar route instead of reaching for the kernel."""
         from repro.atpg import comb_set as comb_set_mod
         from repro.core import proposed
+        from repro.delay.transition import TransitionSim
         from repro.sim import npsim
         from repro.sim.comb_sim import CombPatternSim
 
@@ -550,9 +553,12 @@ class TestEngineSelection:
             t0 = random_gen.random_sequence(cc, 40, seed=1)
             res = proposed.run(sim, CombPatternSim(cc, fs), t0,
                                comb.tests)
+            tsim = TransitionSim(cc, counters=sim.counters)
+            assert tsim.route == "scalar"
+            tdf = tsim.coverage_percent(res.compacted_set)
             assert sim.counters.np_passes == 0
             results.append((res.final_detected, res.test_set.tests,
-                            res.compacted_set.tests))
+                            res.compacted_set.tests, tdf))
         assert results[0] == results[1]
 
     def test_auto_agrees_with_codegen(self):
