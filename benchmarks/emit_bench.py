@@ -1,4 +1,5 @@
-"""Emit engine benchmarks: ``BENCH_engine.json`` / ``BENCH_phase1.json``.
+"""Emit the ``BENCH_*.json`` benchmarks (engine, matrix, ADI, collapse,
+delay, power).
 
 Default mode runs the paper's full proposed procedure
 (:func:`repro.core.proposed.run`) twice on one synthesized circuit:
@@ -19,28 +20,10 @@ engine (interp, codegen, auto) on the same circuit, best of several
 repeats, asserting identical detected sets, and emits
 ``BENCH_engine_matrix.json``.
 
-``--phase1`` instead benchmarks the Phase-1 candidate scan: the scalar
-per-candidate :meth:`~repro.sim.fault_sim.FaultSimulator.detect` loop
-vs the lane-transposed
-:meth:`~repro.sim.fault_sim.FaultSimulator.detect_candidates` pass
-(micro-benchmark over ``select_scan_in``, best of several repeats),
-plus one end-to-end ``run_proposed`` per mode.  The emitted
-``BENCH_phase1.json`` asserts identical ``(chosen_index, f_si)``,
-final test sets and clock cycles under both modes.
-
-Both modes must produce byte-identical results -- the script asserts
-it and records the check in the JSON.  The emitted file carries
-circuit stats, per-arm wall clock and engine counters, and the
-speedup ratio.
-
-``--trials`` benchmarks the lane-batched trial engine: the full
-proposed procedure under ``trial_batch=1`` (scalar per-trial loops)
-vs the default ``trial_batch=64`` (Phase-3 candidate blocks, Phase-4
-merge-trial prefetching) on ``engine="auto"``.  The
-emitted ``BENCH_trials.json`` records both arms' Phase-3+4 wall clock
-and asserts byte-identical results; ``--gate RATIO`` fails when the
-batched trial time exceeds ``RATIO`` x the scalar time (the committed
-artifact shows >= 2x, i.e. ratio <= 0.5, on the full circuit).
+Every arm of both modes must produce byte-identical results -- the
+script asserts it and records the check in the JSON.  The emitted
+file carries circuit stats, per-arm wall clock and engine counters,
+and the speedup ratio.
 
 ``--adi`` compares the Accidental-Detection-Index-guided run
 (``adi=True``, census from the random phase of combinational test
@@ -97,20 +80,18 @@ Usage::
     PYTHONPATH=src python benchmarks/emit_bench.py --quick --gate 1.5
     PYTHONPATH=src python benchmarks/emit_bench.py --quick --gate-numpy 3.0
     PYTHONPATH=src python benchmarks/emit_bench.py --engine-matrix --quick
-    PYTHONPATH=src python benchmarks/emit_bench.py --phase1   # lanes bench
-    PYTHONPATH=src python benchmarks/emit_bench.py --phase1 --quick --gate 1.0
     PYTHONPATH=src python benchmarks/emit_bench.py --power --gate 1.0
     PYTHONPATH=src python benchmarks/emit_bench.py --delay --gate 3.0
 
 ``--gate RATIO`` turns the script into a perf gate: exit code 1 when
-the after/lanes arm is slower than ``RATIO`` times the before/scalar
-arm (the CI perf-smoke job runs ``--quick --gate 1.5`` and
-``--phase1 --quick --gate 1.0``).  ``--gate-numpy RATIO`` additionally
-requires the kernel arm (``engine="auto"``) to be at least ``RATIO``
-times faster than the fused big-int arm; it is skipped with a visible
-notice when the C pass kernel is unavailable.  In ``--power`` mode the
-gate is a quality gate instead: adjacent peak shift WTM vs random, per
-circuit (the CI job runs ``--power --gate 1.0``).
+the fused after arm is slower than ``RATIO`` times the chunked before
+arm (the CI perf-smoke job runs ``--quick --gate 1.5``).
+``--gate-numpy RATIO`` additionally requires the kernel arm
+(``engine="auto"``) to be at least ``RATIO`` times faster than the
+fused big-int arm; it is skipped with a visible notice when the C
+pass kernel is unavailable.  In ``--power`` mode the gate is a
+quality gate instead: adjacent peak shift WTM vs random, per circuit
+(the CI job runs ``--power --gate 1.0``).
 """
 
 from __future__ import annotations
@@ -129,7 +110,6 @@ from repro.atpg import comb_set as comb_set_mod
 from repro.atpg import random_gen
 from repro.circuits import synth
 from repro.core.combine import static_compact
-from repro.core.phase1 import detect_no_scan, select_scan_in
 from repro.core.proposed import run as run_proposed
 from repro.core.scan_test import ScanTestSet, single_vector_test
 from repro.delay import TransitionSim, measure_delay
@@ -360,138 +340,9 @@ def build_engine_matrix_payload(quick: bool, seed: int = 1,
     }
 
 
-def _run_candidate_arm(netlist, comb_tests, t0, mode: str
-                       ) -> Dict[str, Any]:
-    """One full proposed-procedure pass under a candidate-scan mode."""
-    circuit = CompiledCircuit(netlist, engine="codegen")
-    faults = FaultSet.collapsed(netlist)
-    counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width="auto",
-                         counters=counters)
-    comb_sim = CombPatternSim(circuit, faults)
-    started = time.perf_counter()
-    result = run_proposed(sim, comb_sim, t0, comb_tests,
-                          candidate_scan=mode)
-    seconds = time.perf_counter() - started
-    final = result.compacted_set or result.test_set
-    return {
-        "candidate_scan": mode,
-        "seconds": round(seconds, 3),
-        "phase1_seconds": round(counters.phase1_s, 3),
-        "counters": counters.as_dict(),
-        "result": {
-            "seq_detected": len(result.seq_detected),
-            "final_detected": len(result.final_detected),
-            "tests": len(final),
-            "cycles": final.clock_cycles(),
-            "tau_seq_length": result.tau_seq.length,
-        },
-        "_sets": (result.seq_detected, result.final_detected,
-                  tuple(final.tests), final.clock_cycles()),
-    }
-
-
-def _time_select_scan_in(sim, t0, comb_tests, f0, selected, mode: str,
-                         repeats: int) -> Dict[str, Any]:
-    """Best-of-``repeats`` timing of one Step-2 selection pass."""
-    best = None
-    outcome = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        outcome = select_scan_in(sim, t0, comb_tests, f0, selected,
-                                 mode=mode)
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return {"mode": mode, "seconds": round(best, 4),
-            "chosen_index": outcome[0], "f_si": outcome[1]}
-
-
-def build_phase1_payload(quick: bool, seed: int = 1,
-                         repeats: int = 3) -> Dict[str, Any]:
-    """The ``--phase1`` payload: scalar vs lanes candidate scan."""
-    profile = QUICK_PROFILE if quick else FULL_PROFILE
-    netlist = synth.generate(profile["name"], profile["n_pi"],
-                             profile["n_po"], profile["n_ff"],
-                             profile["n_gates"], seed=profile["seed"])
-    circuit = CompiledCircuit(netlist)
-    faults = FaultSet.collapsed(netlist)
-    comb = comb_set_mod.generate(circuit, faults, seed=seed)
-    t0 = random_gen.random_sequence(circuit, profile["t0_length"],
-                                    seed=seed)
-
-    print(f"circuit {profile['name']}: {netlist.num_gates} gates, "
-          f"{netlist.num_ffs} FFs, {len(faults)} collapsed faults, "
-          f"{len(comb.tests)} candidate states, |T0|={len(t0)}")
-
-    # Micro-benchmark: one Step-2 selection pass, best of `repeats`.
-    sim = FaultSimulator(circuit, faults, width="auto")
-    f0 = detect_no_scan(sim, t0, range(len(faults)))
-    selected = [False] * len(comb.tests)
-    print(f"select_scan_in scalar x{repeats} ...", flush=True)
-    scalar = _time_select_scan_in(sim, t0, comb.tests, f0, selected,
-                                  "scalar", repeats)
-    print(f"  best {scalar['seconds']}s")
-    print(f"select_scan_in lanes x{repeats} ...", flush=True)
-    lanes = _time_select_scan_in(sim, t0, comb.tests, f0, selected,
-                                 "lanes", repeats)
-    print(f"  best {lanes['seconds']}s")
-    identical_selection = (
-        scalar.pop("chosen_index"), scalar.pop("f_si")) == (
-        lanes.pop("chosen_index"), lanes.pop("f_si"))
-    if not identical_selection:
-        print("ERROR: scalar and lanes disagree on (chosen_index, f_si)",
-              file=sys.stderr)
-
-    # End to end: the full proposed procedure under each mode.
-    print("end-to-end run_proposed, scalar ...", flush=True)
-    e2e_scalar = _run_candidate_arm(netlist, comb.tests, t0, "scalar")
-    print(f"  {e2e_scalar['seconds']}s "
-          f"(phase1 {e2e_scalar['phase1_seconds']}s)")
-    print("end-to-end run_proposed, lanes ...", flush=True)
-    e2e_lanes = _run_candidate_arm(netlist, comb.tests, t0, "lanes")
-    print(f"  {e2e_lanes['seconds']}s "
-          f"(phase1 {e2e_lanes['phase1_seconds']}s)")
-    identical_e2e = e2e_scalar.pop("_sets") == e2e_lanes.pop("_sets")
-    if not identical_e2e:
-        print("ERROR: the two modes disagree on end-to-end results",
-              file=sys.stderr)
-
-    speedup = scalar["seconds"] / max(lanes["seconds"], 1e-9)
-    phase1_speedup = e2e_scalar["phase1_seconds"] / \
-        max(e2e_lanes["phase1_seconds"], 1e-9)
-    return {
-        "bench": "phase1: candidate-parallel lanes vs scalar scan-in "
-                 "selection",
-        "circuit": {
-            "name": profile["name"],
-            "pi": netlist.num_inputs,
-            "po": netlist.num_outputs,
-            "ff": netlist.num_ffs,
-            "gates": netlist.num_gates,
-            "faults": len(faults),
-            "comb_tests": len(comb.tests),
-            "t0_length": len(t0),
-        },
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "select_scan_in": {"scalar": scalar, "lanes": lanes,
-                           "speedup": round(speedup, 2)},
-        "end_to_end": {"scalar": e2e_scalar, "lanes": e2e_lanes,
-                       "phase1_speedup": round(phase1_speedup, 2)},
-        "speedup": round(speedup, 2),
-        "identical_results": identical_selection and identical_e2e,
-    }
-
-
-def _run_trial_arm(netlist, comb_tests, t0, trial_batch: int,
-                   engine: str, adi: bool = False,
-                   adi_scores=None) -> Dict[str, Any]:
-    """One full proposed-procedure pass under a trial-batch budget."""
+def _run_trial_arm(netlist, comb_tests, t0, engine: str,
+                   adi: bool = False, adi_scores=None) -> Dict[str, Any]:
+    """One full proposed-procedure pass, with or without ADI."""
     circuit = CompiledCircuit(netlist, engine=engine)
     faults = FaultSet.collapsed(netlist)
     counters = SimCounters()
@@ -500,13 +351,11 @@ def _run_trial_arm(netlist, comb_tests, t0, trial_batch: int,
     comb_sim = CombPatternSim(circuit, faults)
     started = time.perf_counter()
     result = run_proposed(sim, comb_sim, t0, comb_tests,
-                          trial_batch=trial_batch,
                           adi=adi, adi_scores=adi_scores)
     seconds = time.perf_counter() - started
     final = result.compacted_set or result.test_set
     return {
         "engine": engine,
-        "trial_batch": trial_batch,
         "adi": adi,
         "seconds": round(seconds, 3),
         "phase3_seconds": round(counters.phase3_s, 3),
@@ -524,7 +373,7 @@ def _run_trial_arm(netlist, comb_tests, t0, trial_batch: int,
     }
 
 
-def _trials_circuit(quick: bool, seed: int):
+def _profile_circuit(quick: bool, seed: int):
     """The profile circuit plus its comb set and ``T0`` stimuli."""
     profile = QUICK_PROFILE if quick else FULL_PROFILE
     netlist = synth.generate(profile["name"], profile["n_pi"],
@@ -551,58 +400,6 @@ def _circuit_block(profile, netlist, faults, comb, t0) -> Dict[str, Any]:
         "faults": len(faults),
         "comb_tests": len(comb.tests),
         "t0_length": len(t0),
-    }
-
-
-def build_trials_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
-    """The ``--trials`` payload: scalar vs lane-batched trial engine.
-
-    Runs the full proposed procedure twice on the profile circuit --
-    ``trial_batch=1`` (the scalar per-trial loops) and the default
-    ``trial_batch=64`` (Phase-3 candidate blocks + Phase-4 merge-trial
-    prefetching) -- on ``engine="auto"``, asserting byte-identical
-    results and reporting the
-    Phase-3+4 wall-clock ratio the CI gate checks.
-    """
-    profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
-    engine = "auto"
-
-    print(f"scalar: trial_batch=1, engine={engine} ...", flush=True)
-    scalar = _run_trial_arm(netlist, comb.tests, t0, 1, engine)
-    print(f"  {scalar['seconds']}s (p3 {scalar['phase3_seconds']}s, "
-          f"p4 {scalar['phase4_seconds']}s)")
-    print(f"batched: trial_batch=64, engine={engine} ...", flush=True)
-    batched = _run_trial_arm(netlist, comb.tests, t0, 64, engine)
-    print(f"  {batched['seconds']}s (p3 {batched['phase3_seconds']}s, "
-          f"p4 {batched['phase4_seconds']}s)")
-
-    identical = scalar.pop("_sets") == batched.pop("_sets")
-    if not identical:
-        print("ERROR: scalar and batched trials disagree on results",
-              file=sys.stderr)
-    scalar_trials = scalar["phase3_seconds"] + scalar["phase4_seconds"]
-    batched_trials = (batched["phase3_seconds"]
-                      + batched["phase4_seconds"])
-    speedup = scalar_trials / max(batched_trials, 1e-9)
-    return {
-        "bench": "trials: lane-batched Phase-3/4 trial simulation vs "
-                 "scalar loops",
-        "circuit": _circuit_block(profile, netlist, faults, comb, t0),
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "engine": engine,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": _numpy_version(),
-            "np_kernel": npsim.kernel_unavailable_reason() is None,
-        },
-        "scalar": scalar,
-        "batched": batched,
-        "trial_seconds": {"scalar": round(scalar_trials, 3),
-                          "batched": round(batched_trials, 3)},
-        "speedup": round(speedup, 2),
-        "identical_results": identical,
     }
 
 
@@ -745,18 +542,18 @@ def build_adi_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     coverage (hard requirement), fewer total detect passes, and final
     clock cycles no worse than the baseline.
     """
-    profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
+    profile, netlist, faults, comb, t0 = _profile_circuit(quick, seed)
     engine = "auto"
 
     print(f"baseline: adi=off, engine={engine} ...", flush=True)
-    baseline = _run_trial_arm(netlist, comb.tests, t0, 64, engine)
+    baseline = _run_trial_arm(netlist, comb.tests, t0, engine)
     print(f"  {baseline['seconds']}s, "
           f"{baseline['counters']['detect_passes']} detect passes, "
           f"{baseline['result']['cycles']} cycles")
     print(f"adi: census-guided ordering, engine={engine} ...",
           flush=True)
-    adi_arm = _run_trial_arm(netlist, comb.tests, t0, 64, engine,
-                             adi=True, adi_scores=comb.adi)
+    adi_arm = _run_trial_arm(netlist, comb.tests, t0, engine, adi=True,
+                             adi_scores=comb.adi)
     print(f"  {adi_arm['seconds']}s, "
           f"{adi_arm['counters']['detect_passes']} detect passes, "
           f"{adi_arm['result']['cycles']} cycles, "
@@ -926,7 +723,7 @@ def build_delay_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     arm is skipped (recorded as ``null`` with a visible notice) when
     numpy or the kernel is unavailable.
     """
-    profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
+    profile, netlist, faults, comb, t0 = _profile_circuit(quick, seed)
     circuit, sets = _delay_sets(netlist, comb, t0)
     tdf_faults = len(TransitionSim(circuit).faults)
     for label, test_set in sorted(sets.items()):
@@ -1038,13 +835,12 @@ def _numpy_gate(bigint_row: Dict[str, Any],
     return True
 
 
-def main(argv: Optional[list] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The command line: one mode flag (default: the engine bench)
+    plus the gates and output options."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized circuit instead of the full one")
-    parser.add_argument("--phase1", action="store_true",
-                        help="benchmark the Phase-1 candidate scan "
-                             "(lanes vs scalar) instead of the engine")
     parser.add_argument("--engine-matrix", action="store_true",
                         help="time one detect pass per engine "
                              "(interp/codegen/auto) on the same "
@@ -1052,9 +848,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--power", action="store_true",
                         help="sweep the X-fill strategies' power on "
                              "the quick suite instead of the engine")
-    parser.add_argument("--trials", action="store_true",
-                        help="benchmark the lane-batched Phase-3/4 "
-                             "trial engine vs the scalar loops")
     parser.add_argument("--adi", action="store_true",
                         help="compare ADI-guided ordering against the "
                              "plain proposed procedure (quality gate)")
@@ -1067,8 +860,10 @@ def main(argv: Optional[list] = None) -> int:
                              "(+ untestability proofs) against the "
                              "uncollapsed flow (quality gate)")
     parser.add_argument("--gate", type=float, metavar="RATIO",
-                        help="fail (exit 1) when the after/lanes wall "
-                             "clock exceeds RATIO x before/scalar")
+                        help="fail (exit 1) when the mode's gate "
+                             "fails; in the default mode, when the "
+                             "fused after arm's wall clock exceeds "
+                             "RATIO x the chunked before arm's")
     parser.add_argument("--gate-numpy", type=float, metavar="RATIO",
                         help="fail (exit 1) when the C-kernel arm "
                              "(engine auto) is less than RATIO x "
@@ -1077,7 +872,11 @@ def main(argv: Optional[list] = None) -> int:
                              "kernel is unavailable)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("-o", "--out", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.delay:
         out = args.out or "BENCH_delay.json"
@@ -1092,26 +891,6 @@ def main(argv: Optional[list] = None) -> int:
         if args.gate is not None and not _delay_gate(payload,
                                                      args.gate):
             return 1
-        return 0
-
-    if args.trials:
-        out = args.out or "BENCH_trials.json"
-        payload = build_trials_payload(quick=args.quick, seed=args.seed)
-        atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}: phase-3/4 trial speedup "
-              f"x{payload['speedup']} (identical results: "
-              f"{payload['identical_results']})")
-        if not payload["identical_results"]:
-            return 1
-        if args.gate is not None:
-            ratio = (payload["trial_seconds"]["batched"]
-                     / max(payload["trial_seconds"]["scalar"], 1e-9))
-            if ratio > args.gate:
-                print(f"PERF GATE FAILED: batched/scalar trial time "
-                      f"= {ratio:.2f} > {args.gate}", file=sys.stderr)
-                return 1
-            print(f"perf gate ok: batched/scalar trial time "
-                  f"= {ratio:.2f} <= {args.gate}")
         return 0
 
     if args.collapse:
@@ -1203,19 +982,8 @@ def main(argv: Optional[list] = None) -> int:
                                     args.gate_numpy) else 1
         return 0
 
-    if args.phase1:
-        out = args.out or "BENCH_phase1.json"
-        payload = build_phase1_payload(quick=args.quick, seed=args.seed)
-        gate_pair = (payload["select_scan_in"]["lanes"]["seconds"],
-                     payload["select_scan_in"]["scalar"]["seconds"])
-        gate_label = "lanes/scalar"
-    else:
-        out = args.out or "BENCH_engine.json"
-        payload = build_payload(quick=args.quick, seed=args.seed)
-        gate_pair = (payload["after"]["seconds"],
-                     payload["before"]["seconds"])
-        gate_label = "fused/chunked"
-
+    out = args.out or "BENCH_engine.json"
+    payload = build_payload(quick=args.quick, seed=args.seed)
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}: speedup x{payload['speedup']} "
           f"(identical results: {payload['identical_results']})")
@@ -1223,14 +991,15 @@ def main(argv: Optional[list] = None) -> int:
     if not payload["identical_results"]:
         return 1
     if args.gate is not None:
-        ratio = gate_pair[0] / max(gate_pair[1], 1e-9)
+        ratio = (payload["after"]["seconds"]
+                 / max(payload["before"]["seconds"], 1e-9))
         if ratio > args.gate:
-            print(f"PERF GATE FAILED: {gate_label} = {ratio:.2f} "
+            print(f"PERF GATE FAILED: fused/chunked = {ratio:.2f} "
                   f"> {args.gate}", file=sys.stderr)
             return 1
-        print(f"perf gate ok: {gate_label} = {ratio:.2f} "
+        print(f"perf gate ok: fused/chunked = {ratio:.2f} "
               f"<= {args.gate}")
-    if args.gate_numpy is not None and not args.phase1:
+    if args.gate_numpy is not None:
         if not _numpy_gate(payload["after"], payload.get("numpy"),
                            args.gate_numpy):
             return 1

@@ -36,19 +36,6 @@ from ..atpg.comb_set import CombTest
 from ..sim import values as V
 from ..sim.fault_sim import FaultSimulator
 
-#: Valid ``candidate_scan`` modes for Step 2: ``"scalar"`` runs one
-#: :meth:`~repro.sim.fault_sim.FaultSimulator.detect` pass per unique
-#: candidate state; ``"lanes"`` runs the transposed candidate-parallel
-#: :meth:`~repro.sim.fault_sim.FaultSimulator.detect_candidates` pass.
-#: Both produce byte-identical ``(chosen_index, f_si)``.
-CANDIDATE_SCAN_MODES = ("scalar", "lanes")
-
-#: Default Step-2 mode.  ``"lanes"`` because the equivalence suite
-#: (tests/core/test_candidate_scan.py) proves it exact and it turns
-#: ``|C|`` sequence passes into ``ceil(F/groups)`` passes.
-DEFAULT_CANDIDATE_SCAN = "lanes"
-
-
 @dataclass
 class Phase1Result:
     """Everything Phase 1 produced.
@@ -98,19 +85,17 @@ def select_scan_in(
     f0: Set[int],
     selected: Sequence[bool],
     target: Optional[Set[int]] = None,
-    mode: str = DEFAULT_CANDIDATE_SCAN,
     adi: Optional[Dict[int, int]] = None,
     scoap: Optional[Dict[int, int]] = None,
 ) -> Tuple[int, Set[int]]:
     """Step 2: choose the scan-in state maximizing detection.
 
     Distinct tests of ``C`` often share a state part; each *unique*
-    state is simulated exactly once (one lane in ``"lanes"`` mode, one
-    :meth:`~repro.sim.fault_sim.FaultSimulator.detect` pass in
-    ``"scalar"`` mode) and the argmax then replays the original loop
-    over all of ``C``, so the winner -- including the
-    unselected-preferred tie-break -- is byte-identical to simulating
-    every test separately.
+    state is simulated exactly once, as one lane of a
+    :meth:`~repro.sim.fault_sim.FaultSimulator.detect_candidates` pass,
+    and the argmax then replays the original loop over all of ``C``,
+    so the winner -- including the unselected-preferred tie-break --
+    is byte-identical to simulating every test separately.
 
     Parameters
     ----------
@@ -127,8 +112,6 @@ def select_scan_in(
         Per-test *selected* flags (Section 3.3 bookkeeping).
     target:
         The full target fault index set; defaults to all faults.
-    mode:
-        One of :data:`CANDIDATE_SCAN_MODES`.
     adi:
         Optional fault index -> Accidental Detection Index map (see
         :meth:`~repro.sim.scoreboard.FaultScoreboard.record_adi`).
@@ -157,20 +140,15 @@ def select_scan_in(
     Raises
     ------
     ValueError
-        If ``comb_tests`` is empty, flag/test lengths mismatch, or the
-        mode is unknown.
+        If ``comb_tests`` is empty or flag/test lengths mismatch.
     """
     if not comb_tests:
         raise ValueError("combinational test set is empty")
     if len(selected) != len(comb_tests):
         raise ValueError("selected flags do not match the test set")
-    if mode not in CANDIDATE_SCAN_MODES:
-        raise ValueError(f"unknown candidate-scan mode {mode!r}; "
-                         f"use one of {CANDIDATE_SCAN_MODES}")
     if target is None:
         target = set(range(len(sim.faults)))
     remaining = sorted(target - f0)
-    t0_list = list(t0)
     # Deduplicate state parts: simulate each unique state once, in
     # first-appearance order so slot k is the first test using it.
     slot_by_state: dict = {}
@@ -184,14 +162,8 @@ def select_scan_in(
             slot_by_state[state] = slot
             unique_states.append(state)
         slot_of.append(slot)
-    if mode == "lanes":
-        per_slot = sim.detect_candidates(t0_list, unique_states,
-                                         target=remaining, scan_out=True)
-    else:
-        per_slot = [sim.detect(t0_list, init_state=state,
-                               target=remaining, scan_out=True,
-                               early_exit=False)
-                    for state in unique_states]
+    per_slot = sim.detect_candidates(list(t0), unique_states,
+                                     target=remaining, scan_out=True)
     if adi is None:
         hard_of_slot = [0] * len(per_slot)
     else:
@@ -283,7 +255,6 @@ def run_phase1(
     target: Optional[Set[int]] = None,
     f0: Optional[Set[int]] = None,
     scan_out_rule: str = "earliest",
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     adi: Optional[Dict[int, int]] = None,
     scoap: Optional[Dict[int, int]] = None,
 ) -> Phase1Result:
@@ -292,19 +263,16 @@ def run_phase1(
     ``f0`` may be supplied when the caller has already simulated the
     no-scan detections (the iteration loop reuses them).
     ``scan_out_rule`` selects the paper's ``i0`` ("earliest") or
-    ``i1`` ("max_coverage") Step-3 variant.  ``candidate_scan``
-    selects the Step-2 engine mode (see :data:`CANDIDATE_SCAN_MODES`).
-    ``adi`` threads an Accidental-Detection-Index map and ``scoap`` a
-    static-difficulty map into the Step-2 tie-break (see
-    :func:`select_scan_in`).
+    ``i1`` ("max_coverage") Step-3 variant.  ``adi`` threads an
+    Accidental-Detection-Index map and ``scoap`` a static-difficulty
+    map into the Step-2 tie-break (see :func:`select_scan_in`).
     """
     if target is None:
         target = set(range(len(sim.faults)))
     if f0 is None:
         f0 = detect_no_scan(sim, t0, sorted(target))
     index, f_si = select_scan_in(sim, t0, comb_tests, f0, selected,
-                                 target, mode=candidate_scan, adi=adi,
-                                 scoap=scoap)
+                                 target, adi=adi, scoap=scoap)
     scan_in = comb_tests[index].state
     u_so, f_so = select_scan_out(sim, scan_in, t0, f_si, target,
                                  rule=scan_out_rule)

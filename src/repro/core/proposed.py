@@ -30,7 +30,7 @@ from ..sim.fault_sim import FaultSimulator
 from ..sim.scoreboard import FaultScoreboard
 from .combine import CombineStats, static_compact
 from .omission import omit_vectors
-from .phase1 import DEFAULT_CANDIDATE_SCAN, detect_no_scan, run_phase1
+from .phase1 import detect_no_scan, run_phase1
 from .scan_test import ScanTest, ScanTestSet
 from .topoff import top_off
 
@@ -115,12 +115,10 @@ def run(
     run_phase4: bool = True,
     scan_out_rule: str = "earliest",
     scoreboard: Optional[FaultScoreboard] = None,
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     merge_filter: Optional[Callable[[ScanTest], bool]] = None,
     topoff_power_key: Optional[Callable[[int], float]] = None,
     observer: Optional[PhaseObserver] = None,
     resume: Optional[Dict[str, Any]] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     adi_scores: Optional[Dict[int, int]] = None,
     scoap_scores: Optional[Dict[int, int]] = None,
@@ -160,11 +158,6 @@ def run(
         simulation rebuilds a smaller injection word.  Dropping is
         applied only where the result is provably unchanged; see
         :mod:`repro.sim.scoreboard`.
-    candidate_scan:
-        Phase-1 Step-2 engine mode: ``"lanes"`` (candidate-parallel
-        transposed packing, the default) or ``"scalar"`` (one detect
-        pass per unique candidate state).  Both produce identical
-        results; see :data:`repro.core.phase1.CANDIDATE_SCAN_MODES`.
     merge_filter:
         Optional predicate over candidate Phase-4 merges, forwarded to
         :func:`repro.core.combine.static_compact` (e.g. a peak-WTM
@@ -188,12 +181,6 @@ def run(
         the remaining phases produce byte-identical results without
         re-simulating.  With ``resume``, ``t0`` may be empty (its
         length is taken from the saved state).
-    trial_batch:
-        Lane budget for batched trial simulation, forwarded to
-        :func:`repro.core.combine.static_compact` (Phase-4 merge-trial
-        prefetching) and :func:`repro.core.topoff.top_off` (Phase-3
-        candidate blocks).  Results are byte-identical for every
-        value; ``1`` forces the scalar one-trial-per-pass loops.
     adi:
         Enable Accidental-Detection-Index guidance (Pomeranz & Reddy,
         arXiv:0710.4637): ``adi_scores`` are recorded on the
@@ -281,7 +268,6 @@ def run(
                     phase1 = run_phase1(sim, current, comb_tests, selected,
                                         target=target, f0=f0,
                                         scan_out_rule=scan_out_rule,
-                                        candidate_scan=candidate_scan,
                                         adi=adi_map,
                                         scoap=scoap_scores)
                 candidate = ScanTest(phase1.scan_in, phase1.vectors)
@@ -347,7 +333,6 @@ def run(
                 topoff = top_off(comb_sim, comb_tests, undetected,
                                  retire_to=scoreboard,
                                  power_key=topoff_power_key,
-                                 trial_batch=trial_batch,
                                  adi=adi_map,
                                  counters=sim.counters,
                                  scoap=scoap_scores)
@@ -383,8 +368,7 @@ def run(
                 outcome = static_compact(sim, test_set, target=target,
                                          known_detections={tau: seq_detected},
                                          retire_to=scoreboard,
-                                         merge_filter=merge_filter,
-                                         trial_batch=trial_batch)
+                                         merge_filter=merge_filter)
             compacted = outcome.test_set
             combine_stats = outcome.stats
 

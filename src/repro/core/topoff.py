@@ -20,11 +20,12 @@ detectable set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..atpg.comb_set import CombTest
 from ..sim.comb_sim import CombPatternSim
 from ..sim.counters import SimCounters
+from ..sim.fault_sim import TRIAL_LANES
 from .scan_test import ScanTest, single_vector_test
 
 
@@ -56,7 +57,6 @@ def top_off(
     undetected: Set[int],
     retire_to=None,
     power_key: Optional[Callable[[int], float]] = None,
-    trial_batch: int = 64,
     adi: Optional[Dict[int, int]] = None,
     counters: Optional[SimCounters] = None,
     scoap: Optional[Dict[int, int]] = None,
@@ -77,12 +77,12 @@ def top_off(
     test enters the set first and may cover its rivals' faults.
     ``None`` (the default) keeps the paper's selection byte-identical.
 
-    ``trial_batch`` packs candidate tests into PPSFP pattern blocks
-    (up to ``min(trial_batch, comb_sim.block)`` patterns per good+
-    faulty pass) instead of simulating them one pattern at a time.
-    Per-pattern detection is independent, so ``detects``/``n(f)``/
-    ``last(f)`` -- and hence the selection -- are byte-identical for
-    every value; ``1`` recovers the scalar loop.
+    Candidate tests are packed into PPSFP pattern blocks of up to
+    ``min(comb_sim.block, TRIAL_LANES)`` patterns per good+faulty pass
+    (see :data:`~repro.sim.fault_sim.TRIAL_LANES`).  Per-pattern
+    detection is independent, so ``detects``/``n(f)``/``last(f)`` --
+    and hence the selection -- equal those of one ``detect_single``
+    call per test.
 
     ``adi`` (fault index -> Accidental Detection Index, see
     :meth:`~repro.sim.scoreboard.FaultScoreboard.record_adi`) inserts
@@ -107,7 +107,7 @@ def top_off(
     n_of: Dict[int, int] = {}
     last_of: Dict[int, int] = {}
     order = sorted(remaining)
-    step = max(1, min(comb_sim.block, trial_batch))
+    step = max(1, min(comb_sim.block, TRIAL_LANES))
     for base in range(0, len(comb_tests), step):
         block = comb_tests[base:base + step]
         if len(block) > 1:

@@ -88,6 +88,11 @@ from .scoreboard import FaultScoreboard
 #: Historical fixed chunk width (127 faulty machines + the good bit).
 DEFAULT_WIDTH = 128
 
+#: Lane budget of the trial drivers: at most this many Phase-4 merge
+#: trials share one :meth:`FaultSimulator.detect_trials` pass, and at
+#: most this many Phase-3 candidates share one PPSFP pattern block.
+TRIAL_LANES = 64
+
 #: Machine-bit cap per fused word under ``width="auto"``.  Beyond this
 #: the per-digit cost of big-int ops outweighs the saved passes, so
 #: auto mode falls back to balanced chunks of at most this many

@@ -1,13 +1,15 @@
-"""Candidate-parallel Phase-1 scan-in selection: lanes == scalar.
+"""Candidate-parallel Phase-1 scan-in selection against per-state
+references.
 
 The lane-transposed candidate scan
-(:meth:`repro.sim.fault_sim.FaultSimulator.detect_candidates` driving
-``select_scan_in(mode="lanes")``) is a pure packing strategy: it must
-reproduce the scalar per-candidate loop bit for bit -- the same
-``(chosen_index, f_si)`` including the paper's unselected-preferred
-tie-break, on any circuit, any width policy, and any X-laden candidate
-set.  These properties are what justified flipping the default mode to
-``"lanes"``.
+(:meth:`repro.sim.fault_sim.FaultSimulator.detect_candidates`, which
+``select_scan_in`` drives) is a pure packing strategy: it must
+reproduce one :meth:`~repro.sim.fault_sim.FaultSimulator.detect` pass
+per candidate state bit for bit, and ``select_scan_in`` must pick the
+same ``(chosen_index, f_si)`` as the paper's loop over every test of
+``C`` -- including the unselected-preferred tie-break -- on any
+circuit, any width policy, and any X-laden candidate set.  The
+references are written here, on the per-state ``detect`` primitive.
 """
 
 import random
@@ -31,14 +33,35 @@ _CACHE = {}
 
 
 def circuit_for(seed):
-    """Small random sequential circuit, cached across examples."""
+    """Small random sequential circuit, cached across examples: the
+    codegen, interp and auto compilations plus the fault set."""
     if seed not in _CACHE:
         net = synth.generate("cscan", _N_PI, 3, _N_FF, 30, seed=seed)
         cc_codegen = CompiledCircuit(net, engine="codegen")
         cc_generic = CompiledCircuit(net.copy(), engine="interp")
+        cc_auto = CompiledCircuit(net.copy(), engine="auto")
         fs = FaultSet.collapsed(net)
-        _CACHE[seed] = (cc_codegen, cc_generic, fs)
+        _CACHE[seed] = (cc_codegen, cc_generic, cc_auto, fs)
     return _CACHE[seed]
+
+
+def per_state_detect(sim, t0, states, target):
+    """Reference candidate scan: one ``detect`` pass per state."""
+    return [sim.detect(list(t0), init_state=state, target=target,
+                       scan_out=True, early_exit=False)
+            for state in states]
+
+
+def reference_select(sim, t0, tests, f0, selected):
+    """Reference Step 2: the paper's loop over every test of ``C``,
+    maximizing the detection count and preferring unselected tests
+    among equals (first wins)."""
+    remaining = sorted(set(range(len(sim.faults))) - f0)
+    per_test = per_state_detect(sim, t0, [t.state for t in tests],
+                                remaining)
+    best = max(range(len(tests)),
+               key=lambda j: (len(per_test[j]), not selected[j], -j))
+    return best, per_test[best] | f0
 
 
 circuit_seeds = st.integers(0, 9)
@@ -71,30 +94,34 @@ class TestScalarVsLanes:
     @settings(max_examples=40, deadline=None)
     @given(seed=circuit_seeds, width=widths, data=st.data())
     def test_selection_identical(self, seed, width, data):
-        """(chosen_index, f_si) agree across modes, engines, widths."""
-        cc_codegen, cc_generic, fs = circuit_for(seed)
+        """detect_candidates equals the per-state detect loop and
+        (chosen_index, f_si) equals the reference loop over ``C``, on
+        every engine and width."""
+        *circuits, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         t0 = [V.random_binary_vector(_N_PI, rng)
               for _ in range(data.draw(st.integers(1, 8)))]
         tests = _comb_tests(rng, data, data.draw(st.integers(1, 7)))
         selected = [data.draw(st.booleans()) for _ in tests]
-        sim_ref = FaultSimulator(cc_codegen, fs, width="auto")
+        states = [t.state for t in tests]
+        sim_ref = FaultSimulator(circuits[0], fs, width="auto")
         f0 = phase1.detect_no_scan(sim_ref, t0)
-        reference = phase1.select_scan_in(sim_ref, t0, tests, f0,
-                                          selected, mode="scalar")
-        for circuit in (cc_codegen, cc_generic):
+        remaining = sorted(set(range(len(fs))) - f0)
+        reference = reference_select(sim_ref, t0, tests, f0, selected)
+        for circuit in circuits:
             sim = FaultSimulator(circuit, fs, width=width)
-            got = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                        mode="lanes")
+            assert sim.detect_candidates(
+                t0, states, target=remaining, scan_out=True) == \
+                per_state_detect(sim_ref, t0, states, remaining)
+            got = phase1.select_scan_in(sim, t0, tests, f0, selected)
             assert got == reference
 
     @settings(max_examples=15, deadline=None)
     @given(seed=circuit_seeds, data=st.data())
     def test_forced_total_tie(self, seed, data):
         """With target a subset of f0, every candidate counts zero:
-        the winner must still match scalar (first unselected test,
-        else index 0)."""
-        cc, _, fs = circuit_for(seed)
+        the winner is the first unselected test, else index 0."""
+        cc, _, _, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         t0 = [V.random_binary_vector(_N_PI, rng) for _ in range(3)]
         tests = _comb_tests(rng, data, 5)
@@ -102,18 +129,16 @@ class TestScalarVsLanes:
         sim = FaultSimulator(cc, fs)
         f0 = set(range(len(fs)))          # nothing left to detect
         target = set(range(len(fs)))
-        scalar = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                       target=target, mode="scalar")
-        lanes = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                      target=target, mode="lanes")
-        assert scalar == lanes
+        got = phase1.select_scan_in(sim, t0, tests, f0, selected,
+                                    target=target)
         expected = selected.index(False) if False in selected else 0
-        assert scalar[0] == expected
+        assert got == (expected, f0)
+        assert got == reference_select(sim, t0, tests, f0, selected)
 
     def test_detect_candidates_matches_detect_loop(self):
         """The simulator primitive itself: per-lane sets == per-state
         detect passes, including empty-candidate and empty-target."""
-        cc, _, fs = circuit_for(0)
+        cc, _, _, fs = circuit_for(0)
         rng = random.Random(7)
         sim = FaultSimulator(cc, fs)
         vectors = [V.random_binary_vector(_N_PI, rng) for _ in range(6)]
@@ -148,19 +173,27 @@ class TestScalarVsLanes:
         assert runs[0][4:] == (0, 0)
 
     def test_unknown_mode_rejected(self):
-        cc, _, fs = circuit_for(0)
+        """Step 2 has one route: the removed ``mode=`` parameter of
+        ``select_scan_in`` and ``candidate_scan=`` of ``run_phase1``
+        are rejected rather than silently ignored."""
+        cc, _, _, fs = circuit_for(0)
         sim = FaultSimulator(cc, fs)
         tests = [CombTest(state=(V.ZERO,) * _N_FF, pi=(V.ZERO,) * _N_PI)]
-        with pytest.raises(ValueError, match="candidate-scan mode"):
-            phase1.select_scan_in(sim, [(V.ZERO,) * _N_PI], tests,
-                                  set(), [False], mode="vectorized")
+        t0 = [(V.ZERO,) * _N_PI]
+        with pytest.raises(TypeError):
+            phase1.select_scan_in(sim, t0, tests, set(), [False],
+                                  mode="scalar")
+        with pytest.raises(TypeError):
+            phase1.run_phase1(sim, t0, tests, [False],
+                              candidate_scan="scalar")
 
 
 class TestDedup:
     def test_duplicate_states_simulated_once(self):
-        """Regression: tests sharing a state part cost one pass, and
-        the winner maps back to the first unselected duplicate."""
-        cc, _, fs = circuit_for(1)
+        """Regression: tests sharing a state part cost one lane of one
+        candidate pass, and the winner maps back to the first
+        unselected duplicate."""
+        cc, _, _, fs = circuit_for(1)
         rng = random.Random(5)
         sim = FaultSimulator(cc, fs)
         t0 = [V.random_binary_vector(_N_PI, rng) for _ in range(5)]
@@ -171,18 +204,26 @@ class TestDedup:
                  CombTest(state=state, pi=V.random_binary_vector(_N_PI, rng))]
         selected = [True, True, False]
         f0 = phase1.detect_no_scan(sim, t0)
-        before = sim.counters.detect_passes
-        index, _ = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                         mode="scalar")
-        # One unique state -> exactly one scalar detect pass.
-        assert sim.counters.detect_passes - before == 1
+        lanes = []
+        detect_candidates = sim.detect_candidates
+
+        def spy(vectors, states, **kwargs):
+            lanes.append(len(states))
+            return detect_candidates(vectors, states, **kwargs)
+
+        sim.detect_candidates = spy
+        before = sim.counters.candidate_passes
+        index, _ = phase1.select_scan_in(sim, t0, tests, f0, selected)
+        # One unique state -> exactly one candidate pass of one lane.
+        assert sim.counters.candidate_passes - before == 1
+        assert lanes == [1]
         # All counts tie; the first unselected test must win.
         assert index == 2
 
     def test_dedup_preserves_first_index_tie_break(self):
         """All duplicates unselected: the first index wins, exactly as
         the undeduplicated loop would pick."""
-        cc, _, fs = circuit_for(2)
+        cc, _, _, fs = circuit_for(2)
         rng = random.Random(9)
         sim = FaultSimulator(cc, fs)
         t0 = [V.random_binary_vector(_N_PI, rng) for _ in range(4)]
@@ -190,17 +231,17 @@ class TestDedup:
         tests = [CombTest(state=state, pi=V.random_binary_vector(_N_PI, rng))
                  for _ in range(3)]
         f0 = phase1.detect_no_scan(sim, t0)
-        for mode in phase1.CANDIDATE_SCAN_MODES:
-            index, _ = phase1.select_scan_in(sim, t0, tests, f0,
-                                             [False] * 3, mode=mode)
-            assert index == 0
+        index, _ = phase1.select_scan_in(sim, t0, tests, f0, [False] * 3)
+        assert index == 0
+        assert index == reference_select(sim, t0, tests, f0,
+                                         [False] * 3)[0]
 
 
 class TestFusedCapAtConstruction:
     def test_cap_is_a_constructor_argument(self, monkeypatch):
         """The fused cap defaults to FUSED_CAP and only the explicit
         ``fused_cap=`` argument changes it; the environment does not."""
-        cc, _, fs = circuit_for(3)
+        cc, _, _, fs = circuit_for(3)
         monkeypatch.setenv("REPRO_FUSED_CAP", "64")
         default = FaultSimulator(cc, fs)
         assert default.fused_cap == fault_sim_mod.FUSED_CAP
@@ -210,7 +251,7 @@ class TestFusedCapAtConstruction:
 
     def test_cap_bounds_lane_groups(self, monkeypatch):
         """The lane packer honours the per-simulator cap too."""
-        cc, _, fs = circuit_for(3)
+        cc, _, _, fs = circuit_for(3)
         sim = FaultSimulator(cc, fs, fused_cap=16)
         assert sim._lane_groups_per_word(4) == 4
         chunks = sim._build_lane_chunks(range(10), n_lanes=4)

@@ -72,7 +72,7 @@ class TestSelectScanIn:
 
 
 class TestSelectScanOut:
-    def test_equivalent_to_paper_candidate_scan(self, s27_bench):
+    def test_equivalent_to_explicit_truncations(self, s27_bench):
         """Our single-pass Step 3 must equal simulating every
         truncated candidate test explicitly."""
         wb = s27_bench

@@ -1,13 +1,17 @@
-"""Lane-batched trial simulation must be byte-identical to scalar.
+"""Lane-batched trial simulation must be byte-identical to one pass
+per trial.
 
 The trial engine (:meth:`FaultSimulator.detect_trials`), the Phase-4
-prefetch cache (:func:`static_compact` ``trial_batch``), the Phase-3
-candidate blocks (:func:`top_off` ``trial_batch``) and the ADI packing
-order are pure accelerations: none of them may change a single
-detection, selection, or statistic on the equivalence-guaranteed
-paths.  These properties drive random circuits, ragged X-laden trial
-batches and every engine through the batched and scalar paths and
-require exact agreement.
+prefetch cache (:func:`static_compact`), the Phase-3 candidate blocks
+(:func:`top_off`) and the ADI packing order are pure accelerations:
+none of them may change a single detection, selection, or statistic on
+the equivalence-guaranteed paths.  These properties drive random
+circuits, ragged X-laden trial batches and every engine through the
+batched paths and through references written on the per-trial
+primitives -- ``FaultSimulator.detect`` per merge (``static_compact``
+with its prefetch disabled) and ``CombPatternSim.detect_single`` per
+pattern (``top_off`` over one-pattern blocks) -- at lane budgets
+either side of the 64-bit word boundary.
 """
 
 import random
@@ -17,12 +21,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg.comb_set import CombTest
 from repro.circuits import synth
+from repro.core import combine, topoff
 from repro.core.combine import static_compact
 from repro.core.phase1 import select_scan_in
 from repro.core.scan_test import ScanTestSet, single_vector_test
 from repro.core.topoff import top_off
 from repro.sim import values as V
 from repro.sim.comb_sim import CombPatternSim
+from repro.sim.counters import SimCounters
 from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
@@ -122,6 +128,17 @@ class TestDetectTrials:
         assert sim.counters.trial_lanes == 6
 
 
+def unbatched_compact(monkeypatch, *args, **kwargs):
+    """Reference Phase 4: ``static_compact`` with the merge-trial
+    prefetch disabled, so every trial takes its own ``detect`` pass."""
+    with monkeypatch.context() as patch:
+        patch.setattr(combine, "_prefetch_trials",
+                      lambda *a, **k: None)
+        result = static_compact(*args, **kwargs)
+    assert args[0].counters.trial_passes == 0
+    return result
+
+
 class TestBatchedCombine:
     def _initial_set(self, circuits, fs, seed, n_tests=10):
         rng = random.Random(seed)
@@ -131,21 +148,25 @@ class TestBatchedCombine:
                  for _ in range(n_tests)]
         return ScanTestSet(n_ff, tests)
 
-    @pytest.mark.parametrize("trial_batch", [2, 63, 64, 65])
-    def test_prefetch_identical(self, trial_batch):
-        """static_compact: batched == scalar down to every stat."""
+    @pytest.mark.parametrize("lanes", [2, 63, 64, 65])
+    def test_prefetch_identical(self, monkeypatch, lanes):
+        """static_compact: batched == one detect per trial, down to
+        every stat."""
         circuits, fs = circuits_for(2)
         initial = self._initial_set(circuits, fs, seed=11)
+        monkeypatch.setattr(combine, "TRIAL_LANES", lanes)
         for circuit in circuits:
-            scalar = static_compact(FaultSimulator(circuit, fs),
-                                    initial, trial_batch=1)
-            batched = static_compact(FaultSimulator(circuit, fs),
-                                     initial, trial_batch=trial_batch)
-            assert batched.test_set.tests == scalar.test_set.tests
-            assert batched.detected == scalar.detected
-            assert vars(batched.stats) == vars(scalar.stats)
+            reference = unbatched_compact(
+                monkeypatch, FaultSimulator(circuit, fs), initial)
+            sim = FaultSimulator(circuit, fs)
+            batched = static_compact(sim, initial)
+            assert batched.test_set.tests == reference.test_set.tests
+            assert batched.detected == reference.detected
+            assert vars(batched.stats) == vars(reference.stats)
+            assert 0 < sim.counters.trial_lanes <= \
+                lanes * sim.counters.trial_passes
 
-    def test_prefetch_with_length_cap_and_filter(self):
+    def test_prefetch_with_length_cap_and_filter(self, monkeypatch):
         """Skip rules (length cap, merge filter) mirror exactly."""
         circuits, fs = circuits_for(3)
         initial = self._initial_set(circuits, fs, seed=5, n_tests=8)
@@ -156,12 +177,13 @@ class TestBatchedCombine:
 
         for kwargs in ({"max_sequence_length": 3},
                        {"merge_filter": flt}):
-            scalar = static_compact(FaultSimulator(circuits[0], fs),
-                                    initial, trial_batch=1, **kwargs)
+            reference = unbatched_compact(
+                monkeypatch, FaultSimulator(circuits[0], fs), initial,
+                **kwargs)
             batched = static_compact(FaultSimulator(circuits[0], fs),
-                                     initial, trial_batch=64, **kwargs)
-            assert batched.test_set.tests == scalar.test_set.tests
-            assert vars(batched.stats) == vars(scalar.stats)
+                                     initial, **kwargs)
+            assert batched.test_set.tests == reference.test_set.tests
+            assert vars(batched.stats) == vars(reference.stats)
 
 
 class TestBatchedTopOff:
@@ -172,19 +194,25 @@ class TestBatchedTopOff:
                          V.random_binary_vector(_N_PI, rng))
                 for _ in range(n)]
 
-    @pytest.mark.parametrize("trial_batch", [2, 63, 64, 65])
-    def test_blocks_identical(self, trial_batch):
+    @pytest.mark.parametrize("lanes", [2, 63, 64, 65])
+    def test_blocks_identical(self, monkeypatch, lanes):
+        """top_off in blocks of ``lanes`` patterns == one
+        ``detect_single`` per pattern (one-pattern blocks)."""
         circuits, fs = circuits_for(4)
-        comb_tests = self._comb_tests(circuits, seed=1)
+        comb_tests = self._comb_tests(circuits, seed=1, n=2 * lanes + 1)
         undetected = set(range(len(fs)))
-        sim = CombPatternSim(circuits[0], fs)
-        scalar = top_off(sim, comb_tests, undetected, trial_batch=1)
-        batched = top_off(sim, comb_tests, undetected,
-                          trial_batch=trial_batch)
-        assert batched.tests == scalar.tests
-        assert batched.chosen_indices == scalar.chosen_indices
-        assert batched.covered == scalar.covered
-        assert batched.uncovered == scalar.uncovered
+        reference = top_off(CombPatternSim(circuits[0], fs, block=1),
+                            comb_tests, undetected)
+        monkeypatch.setattr(topoff, "TRIAL_LANES", lanes)
+        counters = SimCounters()
+        batched = top_off(CombPatternSim(circuits[0], fs), comb_tests,
+                          undetected, counters=counters)
+        assert batched.tests == reference.tests
+        assert batched.chosen_indices == reference.chosen_indices
+        assert batched.covered == reference.covered
+        assert batched.uncovered == reference.uncovered
+        assert (counters.trial_passes, counters.trial_lanes) == \
+            (2, 2 * lanes)
 
     def test_all_zero_adi_is_identity(self):
         """An empty ADI map ranks every fault equally: the paper's

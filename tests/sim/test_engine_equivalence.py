@@ -561,6 +561,43 @@ class TestEngineSelection:
                             res.compacted_set.tests, tdf))
         assert results[0] == results[1]
 
+    def test_whole_run_counters_engine_invariant(self):
+        """A whole proposed run counts the same simulation work on
+        every engine: the same passes, frames, words, machines, drops,
+        repacks and trial lanes (the C kernel only adds np_passes).
+        ``auto`` joins when the kernel loads."""
+        from repro.atpg import comb_set as comb_set_mod
+        from repro.core import proposed
+        from repro.sim.comb_sim import CombPatternSim
+
+        keys = ("detect_passes", "frames", "words", "machines",
+                "faults_dropped", "repacks", "candidate_passes",
+                "trial_passes", "trial_lanes")
+        net = synth.generate("cnt", 5, 4, 8, 80, seed=7)
+        fs = FaultSet.collapsed(net)
+        comb = comb_set_mod.generate(CompiledCircuit(net.copy()), fs,
+                                     seed=1)
+        t0 = random_gen.random_sequence(CompiledCircuit(net.copy()), 30,
+                                        seed=1)
+        engines = ("interp", "codegen") + (("auto",) if _HAS_KERNEL
+                                           else ())
+        runs = {}
+        for engine in engines:
+            cc = CompiledCircuit(net.copy(), engine=engine)
+            sim = FaultSimulator(cc, fs)
+            res = proposed.run(sim, CombPatternSim(cc, fs), t0,
+                               comb.tests)
+            counters = sim.counters
+            runs[engine] = ({k: getattr(counters, k) for k in keys},
+                            res.final_detected, res.compacted_set.tests)
+            assert (counters.np_passes > 0) == (engine == "auto")
+        reference = runs["interp"]
+        assert reference[0]["faults_dropped"] > 0
+        assert reference[0]["candidate_passes"] > 0
+        assert reference[0]["trial_lanes"] > 0
+        for engine in engines:
+            assert runs[engine] == reference, engine
+
     def test_auto_agrees_with_codegen(self):
         net = synth.generate("autoeq3", 4, 3, 6, 50, seed=2)
         fs = FaultSet.collapsed(net)

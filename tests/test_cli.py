@@ -90,17 +90,15 @@ class TestParser:
                     main(command + argv)
                 assert exc.value.code == 2
 
-    def test_circuit_candidate_scan_scalar_runs(self, monkeypatch):
-        """The scalar Step-2 scan that ``--candidate-scan scalar`` used
-        to select stays as the oracle of the lane-packed default: a
-        whole circuit run on it still completes, with the same
-        results as the default run."""
-        import functools
-
-        from repro import api
+    def test_circuit_matches_per_state_scan_in_reference(
+            self, monkeypatch):
+        """A whole circuit run whose Phase-1 Step 2 grades each
+        candidate state with its own ``detect`` pass (the reference
+        for the lane-packed candidate scan) produces the same results
+        as the default run."""
         from repro.circuits import suite
-        from repro.core import proposed
         from repro.experiments import reporting, runner
+        from repro.sim.fault_sim import FaultSimulator
 
         def results(value):
             # Everything the run produced except its timings and the
@@ -112,13 +110,21 @@ class TestParser:
                 return [results(v) for v in value]
             return value
 
+        def per_state(sim, vectors, init_states, target=None,
+                      scan_out=True, observe_po=True, scan_observe=None):
+            return [sim.detect(list(vectors), state, target=target,
+                               scan_out=scan_out, observe_po=observe_po,
+                               scan_observe=scan_observe,
+                               early_exit=False)
+                    for state in init_states]
+
         lanes = runner.run_circuit(suite.profile("s27"), seed=1)
-        monkeypatch.setattr(api, "run_proposed", functools.partial(
-            proposed.run, candidate_scan="scalar"))
-        scalar = runner.run_circuit(suite.profile("s27"), seed=1)
+        monkeypatch.setattr(FaultSimulator, "detect_candidates",
+                            per_state)
+        reference = runner.run_circuit(suite.profile("s27"), seed=1)
         assert lanes.counters["candidate_passes"] > 0
-        assert scalar.counters["candidate_passes"] == 0
-        assert results(reporting.run_to_dict(scalar)) == \
+        assert reference.counters["candidate_passes"] == 0
+        assert results(reporting.run_to_dict(reference)) == \
             results(reporting.run_to_dict(lanes))
 
     def test_list_survives_closed_stdout(self):
