@@ -22,10 +22,9 @@ def main() -> None:
     profiles = [suite.profile(name) for name in names]
     print(f"running circuits: {', '.join(names)} "
           f"(this fault-simulates everything twice; be patient)\n")
-    runs = run_suite(profiles, seed=1, with_transition=True,
-                     verbose=True)
+    runs = run_suite(profiles, seed=1, delay=True, verbose=True)
     print()
-    print(render_all(all_tables(runs, with_transition=True)))
+    print(render_all(all_tables(runs, with_delay=True)))
 
 
 if __name__ == "__main__":

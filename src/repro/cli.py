@@ -80,7 +80,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .circuits import suite as suite_mod
 from .experiments import (HarnessConfig, all_tables, dump_json,
@@ -102,6 +102,14 @@ def _resolve_profiles(names: List[str]):
                   f"valid circuits: {valid}", file=sys.stderr)
             return None
     return profiles
+
+
+def _run_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """The run options shared by ``circuit`` and ``tables`` (the
+    :class:`~repro.experiments.runner.JobSpec` fields they expose)."""
+    return {"delay": args.delay, "engine": args.engine,
+            "x_fill": args.x_fill, "power_budget": args.power_budget,
+            "adi": args.adi, "scoap": args.scoap}
 
 
 def _harness_config(args: argparse.Namespace) -> HarnessConfig:
@@ -140,12 +148,8 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
     if profiles is None:
         return 2
     outcome = run_suite_resilient(profiles, seed=args.seed,
-                                  delay=args.delay,
-                                  engine=args.engine,
-                                  x_fill=args.x_fill,
-                                  power_budget=args.power_budget,
-                                  adi=args.adi, scoap=args.scoap,
-                                  config=_harness_config(args))
+                                  config=_harness_config(args),
+                                  **_run_options(args))
     print(render_all(all_tables(outcome.runs,
                                 with_delay=args.delay,
                                 failures=outcome.failures,
@@ -166,13 +170,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
             return 2
     outcome = run_suite_resilient(profiles, quick=not args.full,
                                   seed=args.seed,
-                                  delay=args.delay,
-                                  engine=args.engine,
-                                  x_fill=args.x_fill,
-                                  power_budget=args.power_budget,
-                                  adi=args.adi, scoap=args.scoap,
                                   config=_harness_config(args),
-                                  verbose=True)
+                                  verbose=True, **_run_options(args))
     tables = all_tables(outcome.runs, with_delay=args.delay,
                         failures=outcome.failures,
                         partials=outcome.partials)

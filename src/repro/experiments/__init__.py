@@ -16,13 +16,14 @@ Supporting modules:
   hooks and scoped chaos directives.
 """
 
-from .harness import (HarnessConfig, JobRecord, JobSpec, RunStore,
-                      SuiteOutcome, run_jobs, run_suite_resilient)
+from .harness import (HarnessConfig, JobRecord, RunStore, SuiteOutcome,
+                      run_jobs, run_suite_resilient)
 from .reporting import (Table, atomic_write_text, dump_json,
                         engine_counters_table, render_all,
                         run_from_dict, run_to_dict)
-from .runner import (ArmResult, CircuitRun, resolve_profiles, run_circuit,
-                     run_circuit_by_name, run_suite)
+from .runner import (RESULT_KNOBS, ArmResult, CircuitRun, JobSpec,
+                     resolve_profiles, run_circuit, run_suite,
+                     same_result_knobs)
 from .salvage import (CorruptLine, DoctorReport, PartialRun, SalvageStore,
                       decode_line, doctor, encode_line, load_jsonl)
 from .supervision import (ChaosDirective, ChaosError, ProgressReporter,
@@ -33,8 +34,8 @@ from .tables import (all_tables, paper_comparison, table1, table2, table3,
 __all__ = [
     "Table", "atomic_write_text", "dump_json", "engine_counters_table",
     "render_all", "run_to_dict", "run_from_dict",
-    "ArmResult", "CircuitRun", "resolve_profiles", "run_circuit",
-    "run_circuit_by_name", "run_suite",
+    "RESULT_KNOBS", "ArmResult", "CircuitRun", "resolve_profiles",
+    "run_circuit", "run_suite", "same_result_knobs",
     "HarnessConfig", "JobRecord", "JobSpec", "RunStore", "SuiteOutcome",
     "run_jobs", "run_suite_resilient",
     "CorruptLine", "DoctorReport", "PartialRun", "SalvageStore",

@@ -11,8 +11,8 @@ fault-simulation sweep needs:
   an out-of-control computation cannot take the campaign down;
 * a per-job wall-clock **timeout** kills hung workers;
 * failed and timed-out jobs are **retried** with exponential backoff,
-  optionally perturbing the seed on the final attempt (a different
-  random ``T0`` often steers around a pathological case);
+  perturbing the seed on the final attempt (a different random ``T0``
+  often steers around a pathological case);
 * every outcome is recorded as a structured :class:`JobRecord`
   (``ok`` / ``failed`` / ``timeout`` / ``stall`` / ``skipped-resume``
   / ``skipped-lint``, attempt count, seconds, traceback, last-seen
@@ -31,6 +31,10 @@ fault-simulation sweep needs:
 * completed runs are **checkpointed** incrementally to a JSONL run
   store, so an interrupted or partially failed campaign resumes from
   the checkpoint instead of recomputing;
+* one **reuse rule** guards both stores: a checkpoint or salvage file
+  stands in for a requested run only if it recorded every
+  :data:`~repro.experiments.runner.RESULT_KNOBS` entry with the
+  requested value (:func:`~repro.experiments.runner.same_result_knobs`);
 * a **pre-flight lint** (structural rules only; see
   :mod:`repro.analysis`) runs once per distinct circuit before any
   worker is spawned: a circuit with error-severity findings would
@@ -50,9 +54,10 @@ wrapped in the versioned, CRC32-trailed envelope of
 :mod:`repro.experiments.salvage`.  A corrupt line -- truncated
 trailing write, bit rot, a partial overwrite -- is **quarantined** on
 load: moved to ``quarantine/`` and removed from the store, so the
-affected job (and only it) is recomputed on resume.  Legacy
-pre-envelope lines stay readable.  ``repro-compact doctor`` runs the
-same verification standalone and reports what it found.
+affected job (and only it) is recomputed on resume, and so is a line
+without the envelope or a run record missing a field the current
+writer always produces.  ``repro-compact doctor`` runs the same
+verification standalone and reports what it found.
 
 Chaos hook
 ----------
@@ -96,17 +101,19 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
+from ..circuits import suite
 from ..circuits.suite import CircuitProfile
 from . import reporting
 from .reporting import Table
-from .runner import CircuitRun, resolve_profiles, run_circuit_by_name
+from .runner import (CircuitRun, JobSpec, resolve_profiles, run_circuit,
+                     same_result_knobs)
 from .salvage import (PartialRun, SalvageStore, SalvageWriter, encode_line,
                       load_jsonl, salvage_usable)
 from .supervision import (CHAOS_KINDS, ProgressReporter, WorkerHooks,
                           chaos_from_env, freeze, parse_chaos)
 
 #: Added to the base seed when the final retry perturbs it.  Never
-#: applied when usable salvage exists -- a perturbed seed would mix
+#: applied when salvage exists -- a perturbed seed would mix
 #: two random streams into one result.
 SEED_PERTURBATION = 7919
 
@@ -117,65 +124,7 @@ _POLL_INTERVAL = 0.02
 #: :func:`repro.experiments.supervision.parse_chaos`).
 CHAOS_DIRECTIVES = CHAOS_KINDS
 
-ChaosFn = Callable[["JobSpec", int], Optional[str]]
-
-#: JobSpec fields a checkpointed run must have been produced under
-#: for :func:`_checkpoint_usable` to accept it: the knobs that can
-#: change the produced test sets.  ``delay`` is absent on purpose: it
-#: is measurement-only, so a delay-bearing checkpoint also serves a
-#: plain request; the reverse direction is the dedicated
-#: report-presence check in :func:`_checkpoint_usable`.  ``engine`` is
-#: absent too: every engine produces byte-identical results (the
-#: equivalence suites prove it), so a checkpoint from any engine --
-#: or recording the width / candidate-scan / trial-batch settings of
-#: earlier versions -- serves any request.
-CHECKPOINT_KNOBS = ("x_fill", "power_budget", "adi", "scoap")
-
-#: Knob values assumed when a (modern, knob-recording) checkpoint
-#: predates a knob entirely -- the knob's default, under which the
-#: checkpoint was necessarily produced.
-_KNOB_DEFAULTS: Dict[str, Any] = {"adi": False, "scoap": False}
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One unit of work: a circuit run under one seed / arm config.
-
-    ``engine`` selects the simulation backend (``"auto"`` or the
-    ``"interp"`` reference, see
-    :meth:`repro.api.Workbench.for_netlist`); it never changes
-    results.  ``x_fill``/``power_budget`` are the don't-care fill
-    strategy and the optional peak shift-WTM cap (see
-    :mod:`repro.power`).  All travel across the ``spawn`` boundary as
-    plain values; workers read missing keys with defaults, so old
-    callers and legacy spec dicts stay compatible (they default to
-    ``random`` fill with no budget).
-    """
-
-    circuit: str
-    seed: int = 1
-    arms: Tuple[str, ...] = ("seqgen", "random")
-    with_baselines: bool = True
-    #: Also measure at-speed quality (TDF coverage + clock cost) of
-    #: the final test sets (result-shaping: compared on resume; legacy
-    #: spec dicts -- which carried ``with_transition`` -- default to
-    #: off, and workers accept either key).
-    delay: bool = False
-    engine: str = "auto"
-    x_fill: str = "random"
-    power_budget: Optional[float] = None
-    #: Accidental-Detection-Index ordering guidance (result-shaping:
-    #: compared on resume; legacy checkpoints count as ``False``).
-    adi: bool = False
-    #: SCOAP testability-ordering guidance (result-shaping: compared
-    #: on resume; legacy checkpoints count as ``False``).
-    scoap: bool = False
-
-    @property
-    def key(self) -> Tuple[str, int]:
-        """Checkpoint identity (circuit, base seed)."""
-        return (self.circuit, self.seed)
-
+ChaosFn = Callable[[JobSpec, int], Optional[str]]
 
 @dataclass
 class JobRecord:
@@ -263,19 +212,10 @@ class HarnessConfig:
         in lockstep while staying deterministic per job.
     backoff_cap:
         Upper bound on any single retry delay.
-    perturb_final_seed:
-        On the last attempt, offset the seed by ``SEED_PERTURBATION``.
-        Skipped when the job has salvage on disk -- resuming salvaged
-        phases under a different seed would corrupt the result.
     isolate:
         Run jobs in subprocesses (default).  ``False`` keeps the old
         in-process behavior with retry/backoff/checkpoint support but
         no timeouts and no crash isolation beyond ``except``.
-    preflight:
-        Lint every distinct circuit (structural rules only) before
-        scheduling and record jobs on broken circuits as
-        ``skipped-lint`` instead of running them.  ``False`` restores
-        the lint-free behavior.
     chaos:
         Fault-injection callable ``(spec, attempt) -> directive`` --
         see the module docstring.  When None, the ``REPRO_CHAOS``
@@ -292,9 +232,7 @@ class HarnessConfig:
     resume: bool = False
     backoff_base: float = 0.5
     backoff_cap: float = 30.0
-    perturb_final_seed: bool = True
     isolate: bool = True
-    preflight: bool = True
     chaos: Optional[ChaosFn] = None
 
 
@@ -363,7 +301,6 @@ class RunStore:
     :mod:`repro.experiments.salvage`; loads verify each line and
     **quarantine** (move to ``quarantine/``, repair the store) any
     that fail, so corruption costs one recompute, never the campaign.
-    Legacy pre-envelope lines load unchanged.
     """
 
     RUNS_NAME = "runs.jsonl"
@@ -435,16 +372,8 @@ class RunStore:
 # Worker (runs in the spawned subprocess)
 # ----------------------------------------------------------------------
 
-def _spec_salvage_knobs(x_fill: str,
-                        power_budget: Optional[float]) -> Dict[str, Any]:
-    """The knobs salvage compatibility is judged on (see
-    :data:`repro.experiments.salvage.SALVAGE_KNOBS`)."""
-    return {"x_fill": x_fill, "power_budget": power_budget}
-
-
-def _build_hooks(circuit: str, seed: int, directive: Optional[str],
-                 run_dir: Optional[str], x_fill: str,
-                 power_budget: Optional[float], conn: Any,
+def _build_hooks(spec: JobSpec, seed: int, directive: Optional[str],
+                 run_dir: Optional[str], conn: Any,
                  heartbeat_interval: float,
                  isolated: bool) -> WorkerHooks:
     """Assemble one attempt's supervision bundle (worker side).
@@ -466,8 +395,7 @@ def _build_hooks(circuit: str, seed: int, directive: Optional[str],
     salvage = None
     if run_dir is not None:
         salvage = SalvageWriter(
-            SalvageStore(run_dir), circuit, seed,
-            _spec_salvage_knobs(x_fill, power_budget),
+            SalvageStore(run_dir), spec.circuit, seed, spec.result_knobs,
             corrupt_after_write=(chaos is not None
                                  and chaos.kind == "corrupt-salvage"))
     reporter = ProgressReporter(conn, heartbeat_interval)
@@ -480,33 +408,22 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
                  heartbeat_interval: float = 1.0) -> None:
     """Subprocess body: run one circuit job, send the result back.
 
-    Must stay importable at module top level for ``spawn``.  The pipe
-    carries ``("heartbeat", status)`` messages while the job runs and
-    exactly one final ``("ok", run_dict)`` or ``("error", traceback)``;
-    the heartbeat pump is stopped before the final send (the pipe is
-    not safe for concurrent writers).
+    Must stay importable at module top level for ``spawn``; the spec
+    travels as ``asdict(spec)``.  The pipe carries ``("heartbeat",
+    status)`` messages while the job runs and exactly one final
+    ``("ok", run_dict)`` or ``("error", traceback)``; the heartbeat
+    pump is stopped before the final send (the pipe is not safe for
+    concurrent writers).
     """
     reporter = None
     try:
-        hooks = _build_hooks(
-            spec_dict["circuit"], seed, directive, run_dir,
-            spec_dict.get("x_fill", "random"),
-            spec_dict.get("power_budget"), conn, heartbeat_interval,
-            isolated=True)
+        spec = JobSpec(**spec_dict)
+        hooks = _build_hooks(spec, seed, directive, run_dir, conn,
+                             heartbeat_interval, isolated=True)
         reporter = hooks.reporter
         reporter.start()
-        run = run_circuit_by_name(
-            spec_dict["circuit"], seed=seed,
-            arms=tuple(spec_dict["arms"]),
-            with_baselines=spec_dict["with_baselines"],
-            delay=bool(spec_dict.get(
-                "delay", spec_dict.get("with_transition", False))),
-            engine=spec_dict.get("engine", "auto"),
-            x_fill=spec_dict.get("x_fill", "random"),
-            power_budget=spec_dict.get("power_budget"),
-            adi=bool(spec_dict.get("adi", False)),
-            scoap=bool(spec_dict.get("scoap", False)),
-            hooks=hooks)
+        run = run_circuit(suite.profile(spec.circuit), seed=seed,
+                          hooks=hooks, **spec.options())
         reporter.stop()
         conn.send(("ok", reporting.run_to_dict(run)))
     except BaseException:
@@ -537,16 +454,10 @@ def _run_attempt_inline(spec: JobSpec, seed: int,
         if directive in ("crash", "exit", "hang"):
             raise RuntimeError(f"chaos: injected {directive} (in-process)")
         run_dir = str(store.run_dir) if store is not None else None
-        hooks = _build_hooks(spec.circuit, seed, directive, run_dir,
-                             spec.x_fill, spec.power_budget, conn=None,
+        hooks = _build_hooks(spec, seed, directive, run_dir, conn=None,
                              heartbeat_interval=0.0, isolated=False)
-        run = run_circuit_by_name(
-            spec.circuit, seed=seed, arms=spec.arms,
-            with_baselines=spec.with_baselines,
-            delay=spec.delay,
-            engine=spec.engine,
-            x_fill=spec.x_fill, power_budget=spec.power_budget,
-            adi=spec.adi, scoap=spec.scoap, hooks=hooks)
+        run = run_circuit(suite.profile(spec.circuit), seed=seed,
+                          hooks=hooks, **spec.options())
         return "ok", run
     except Exception:
         return "error", traceback.format_exc()
@@ -585,16 +496,17 @@ class _ActiveWorker:
 
 def _attempt_seed(spec: JobSpec, attempt: int, config: HarnessConfig,
                   has_salvage: bool = False) -> int:
-    """The seed this attempt runs under.
+    """The seed this attempt runs under: the base seed, offset by
+    :data:`SEED_PERTURBATION` on the final attempt of a job with
+    retries.
 
-    The final-retry perturbation is skipped when salvage exists:
+    The perturbation is skipped when salvage exists:
     salvaged phases were computed under the base seed, and resuming
     them under a perturbed one would splice two random streams into
     one result.
     """
     total = config.retries + 1
-    if (config.perturb_final_seed and total > 1 and attempt == total
-            and not has_salvage):
+    if total > 1 and attempt == total and not has_salvage:
         return spec.seed + SEED_PERTURBATION
     return spec.seed
 
@@ -642,8 +554,8 @@ def _preflight_rules(circuit: str,
         rules: Tuple[str, ...] = ()
         try:
             from ..analysis.rules import lint_netlist
-            from ..circuits.suite import profile as lookup
-            report = lint_netlist(lookup(circuit).build(), xinit=False)
+            report = lint_netlist(suite.profile(circuit).build(),
+                                  xinit=False)
             rules = tuple(dict.fromkeys(d.rule for d in report.errors))
         except Exception:
             pass
@@ -710,20 +622,19 @@ def run_jobs(specs: Sequence[JobSpec],
             if verbose:
                 print(f"  {spec.circuit}: resumed from checkpoint")
             continue
-        if config.preflight:
-            rules = _preflight_rules(spec.circuit, lint_cache)
-            if rules:
-                record = JobRecord(spec.circuit, spec.seed, "skipped-lint",
-                                   attempts=0, seconds=0.0,
-                                   error="lint: " + ", ".join(rules),
-                                   lint_rules=rules)
-                records.append(record)
-                if store is not None:
-                    store.append_record(record)
-                if verbose:
-                    print(f"  {spec.circuit}: skipped "
-                          f"(lint: {', '.join(rules)})")
-                continue
+        rules = _preflight_rules(spec.circuit, lint_cache)
+        if rules:
+            record = JobRecord(spec.circuit, spec.seed, "skipped-lint",
+                               attempts=0, seconds=0.0,
+                               error="lint: " + ", ".join(rules),
+                               lint_rules=rules)
+            records.append(record)
+            if store is not None:
+                store.append_record(record)
+            if verbose:
+                print(f"  {spec.circuit}: skipped "
+                      f"(lint: {', '.join(rules)})")
+            continue
         pending.append(_JobState(spec))
 
     if config.isolate:
@@ -738,38 +649,17 @@ def run_jobs(specs: Sequence[JobSpec],
 
 
 def _checkpoint_usable(run: CircuitRun, spec: JobSpec) -> bool:
-    """A cached run satisfies the request (arms, baselines, delay,
-    and every result-shaping knob)."""
+    """A cached run satisfies the request: it holds the requested
+    arms, baselines and delay report, and was produced under the
+    requested result knobs (:func:`same_result_knobs`).  A
+    delay-bearing checkpoint also serves a plain request."""
     if not all(a in run.arms for a in spec.arms):
         return False
     if spec.with_baselines and run.baseline4 is None:
         return False
-    # A delay request needs the full report; checkpoints from the old
-    # ``with_transition`` era carried only the flat coverage dict and
-    # are recomputed.
     if spec.delay and run.delay is None:
         return False
-    if run.knobs:
-        # Modern checkpoints record the exact knobs they were
-        # produced under; any mismatch means recompute.
-        for name in CHECKPOINT_KNOBS:
-            recorded = run.knobs.get(name, _KNOB_DEFAULTS.get(name))
-            if recorded != getattr(spec, name):
-                return False
-        return True
-    # Legacy checkpoints (pre-knob) recorded at most the power pair.
-    # The power knobs change the produced test sets, so a checkpoint
-    # only matches when it recorded the same knobs.  A pre-power
-    # checkpoint (run.power is None) recorded no knobs and can only
-    # satisfy the defaults it was produced under.
-    if run.power is not None:
-        if run.power.x_fill != spec.x_fill:
-            return False
-        if run.power.budget != spec.power_budget:
-            return False
-    elif spec.x_fill != "random" or spec.power_budget is not None:
-        return False
-    return True
+    return same_result_knobs(run.knobs, spec.result_knobs)
 
 
 def _finish(state: _JobState, status: str, payload: Any,
@@ -813,9 +703,7 @@ def _finish(state: _JobState, status: str, payload: Any,
     if store is not None:
         payload_salvage = store.salvage.load(spec.circuit, spec.seed)
         if payload_salvage is not None and salvage_usable(
-                payload_salvage,
-                _spec_salvage_knobs(spec.x_fill, spec.power_budget),
-                spec.seed):
+                payload_salvage, spec.result_knobs, spec.seed):
             partial = PartialRun.from_salvage(
                 payload_salvage,
                 reason=f"{status} after {state.attempts} attempt(s)")
@@ -985,29 +873,19 @@ def run_suite_resilient(
     profiles: Optional[Sequence[CircuitProfile]] = None,
     quick: bool = True,
     seed: int = 1,
-    arms: Sequence[str] = ("seqgen", "random"),
-    with_baselines: bool = True,
-    delay: bool = False,
-    engine: str = "auto",
-    x_fill: str = "random",
-    power_budget: Optional[float] = None,
-    adi: bool = False,
-    scoap: bool = False,
     config: Optional[HarnessConfig] = None,
     verbose: bool = False,
+    **options: Any,
 ) -> SuiteOutcome:
     """Resilient drop-in for :func:`repro.experiments.runner.run_suite`.
 
-    Same experiment knobs; adds the :class:`HarnessConfig` resilience
-    layer and returns a :class:`SuiteOutcome` instead of a bare list.
-    Suite profiles are dispatched to workers *by name*, so explicit
-    ``profiles`` must come from the suite registry.
+    Same run options (``options``: the :class:`JobSpec` fields, i.e.
+    :func:`~repro.experiments.runner.run_circuit`'s keyword options);
+    adds the :class:`HarnessConfig` resilience layer and returns a
+    :class:`SuiteOutcome` instead of a bare list.  Suite profiles are
+    dispatched to workers *by name*, so explicit ``profiles`` must
+    come from the suite registry.
     """
-    specs = [JobSpec(circuit=p.name, seed=seed, arms=tuple(arms),
-                     with_baselines=with_baselines,
-                     delay=delay,
-                     engine=engine,
-                     x_fill=x_fill, power_budget=power_budget,
-                     adi=adi, scoap=scoap)
+    specs = [JobSpec(circuit=p.name, seed=seed, **options)
              for p in resolve_profiles(profiles, quick=quick)]
     return run_jobs(specs, config=config, verbose=verbose)

@@ -229,7 +229,6 @@ def run_to_dict(run: "CircuitRun") -> Dict[str, Any]:
                       if run.baseline4 is not None else None),
         "dynamic": (dynamic_result_to_dict(run.dynamic)
                     if run.dynamic is not None else None),
-        "transition": dict(run.transition),
         "seconds": run.seconds,
         "counters": dict(run.counters),
         "diagnostics": [dict(d) for d in run.diagnostics],
@@ -246,7 +245,10 @@ def run_from_dict(data: Dict[str, Any]) -> "CircuitRun":
 
     The profile is resolved by name from the suite registry; a name
     that is no longer registered gets a stub profile (its ``build``
-    raises), which is enough for every table renderer.
+    raises), which is enough for every table renderer.  Every key
+    :func:`run_to_dict` writes is required: a record missing one
+    raises ``KeyError`` (the run store counts it as corrupt and the
+    job is recomputed).
     """
     from ..circuits import suite as suite_mod
     from .runner import CircuitRun
@@ -259,8 +261,8 @@ def run_from_dict(data: Dict[str, Any]) -> "CircuitRun":
                 f"circuit {name!r} was restored from a checkpoint and "
                 f"is not in the suite registry; it cannot be rebuilt")
         profile = suite_mod.CircuitProfile(name, _unavailable)
-    baseline4 = data.get("baseline4")
-    dynamic = data.get("dynamic")
+    baseline4 = data["baseline4"]
+    dynamic = data["dynamic"]
     return CircuitRun(
         profile=profile,
         n_ffs=data["n_ffs"],
@@ -274,16 +276,15 @@ def run_from_dict(data: Dict[str, Any]) -> "CircuitRun":
                    if baseline4 is not None else None),
         dynamic=(dynamic_result_from_dict(dynamic)
                  if dynamic is not None else None),
-        transition=dict(data.get("transition", {})),
-        seconds=data.get("seconds", 0.0),
-        counters=dict(data.get("counters", {})),
-        diagnostics=[dict(d) for d in data.get("diagnostics", [])],
+        seconds=data["seconds"],
+        counters=dict(data["counters"]),
+        diagnostics=[dict(d) for d in data["diagnostics"]],
         power=(PowerReport.from_dict(data["power"])
-               if data.get("power") is not None else None),
+               if data["power"] is not None else None),
         delay=(DelayReport.from_dict(data["delay"])
-               if data.get("delay") is not None else None),
-        knobs=dict(data.get("knobs", {})),
-        n_untestable=int(data.get("n_untestable", 0)),
+               if data["delay"] is not None else None),
+        knobs=dict(data["knobs"]),
+        n_untestable=int(data["n_untestable"]),
     )
 
 
@@ -300,9 +301,7 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
     the C pass kernel's pass count (``np``), and the trial-batch trio
     (``trials`` lane-batched trial passes, ``lanes`` trials carried,
     ``adi`` ADI ordering decisions) -- plus the engine knob the run
-    executed under (``eng``, from :attr:`CircuitRun.knobs`).  Runs
-    restored from old checkpoints render as ``-`` for whichever
-    counters or knobs they lack.
+    executed under (``eng``, from :attr:`CircuitRun.knobs`).
     """
     table = Table("Engine counters",
                   ["circuit", "eng", "frames", "words", "mach/word",
@@ -312,23 +311,16 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
                    "seconds"])
     for run in runs:
         c = run.counters
-        engine = run.knobs.get("engine")
-        if c:
-            table.add_row(run.name, engine, c.get("frames"),
-                          c.get("words"), c.get("machines_per_word"),
-                          c.get("faults_dropped"), c.get("repacks"),
-                          c.get("np_passes"),
-                          c.get("trial_passes"), c.get("trial_lanes"),
-                          c.get("adi_orderings"),
-                          c.get("phase1_s"), c.get("phase2_s"),
-                          c.get("phase3_s"), c.get("phase4_s"),
-                          c.get("power_words"), c.get("power_s"),
-                          c.get("tdf_passes"), c.get("tdf_words"),
-                          c.get("tdf_s"),
-                          run.seconds)
-        else:
-            table.add_row(run.name, engine, None, None, None, None,
-                          None, None, None, None, None, None, None,
-                          None, None, None, None, None, None, None,
-                          run.seconds)
+        table.add_row(run.name, run.knobs.get("engine"), c.get("frames"),
+                      c.get("words"), c.get("machines_per_word"),
+                      c.get("faults_dropped"), c.get("repacks"),
+                      c.get("np_passes"),
+                      c.get("trial_passes"), c.get("trial_lanes"),
+                      c.get("adi_orderings"),
+                      c.get("phase1_s"), c.get("phase2_s"),
+                      c.get("phase3_s"), c.get("phase4_s"),
+                      c.get("power_words"), c.get("power_s"),
+                      c.get("tdf_passes"), c.get("tdf_words"),
+                      c.get("tdf_s"),
+                      run.seconds)
     return table

@@ -12,8 +12,8 @@ Runs are deterministic for a given profile + seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import api
 from ..atpg import comb_set as comb_set_mod
@@ -51,21 +51,15 @@ class CircuitRun:
     arms: Dict[str, ArmResult]
     baseline4: Optional[CombineResult]
     dynamic: Optional[DynamicResult]
-    #: Transition-fault coverage (%) per final test set, kept as a
-    #: flat dict for the at-speed coverage table and for legacy
-    #: checkpoints; :attr:`delay` carries the full report.
-    transition: Dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
     #: Engine instrumentation (``SimCounters.as_dict()`` of the
     #: sequential simulator, summed over everything this run did).
     counters: Dict[str, Any] = field(default_factory=dict)
     #: Structural lint findings for the circuit, as
     #: ``Diagnostic.to_dict()`` dicts (JSON-able; see
-    #: :mod:`repro.analysis.diagnostics`).  Empty for clean circuits
-    #: and for runs restored from pre-analyzer checkpoints.
+    #: :mod:`repro.analysis.diagnostics`).  Empty for clean circuits.
     diagnostics: List[Dict[str, Any]] = field(default_factory=list)
-    #: Power measurements of the final test sets (``None`` for runs
-    #: restored from pre-power checkpoints); see
+    #: Power measurements of the final test sets; see
     #: :class:`repro.power.activity.PowerReport`.
     power: Optional[PowerReport] = None
     #: At-speed quality of the final test sets: TDF coverage plus the
@@ -75,21 +69,28 @@ class CircuitRun:
     delay: Optional[DelayReport] = None
     #: The knobs this run was produced under (engine, x_fill,
     #: power_budget, adi, scoap, delay).  The harness compares the
-    #: result-shaping ones against a resumed job's spec so a
-    #: checkpoint written under different knobs is recomputed, not
+    #: :data:`RESULT_KNOBS` among them against a resumed job's spec so
+    #: a checkpoint written under different knobs is recomputed, not
     #: reused.
-    #: Empty for runs restored from pre-knob checkpoints.
     knobs: Dict[str, Any] = field(default_factory=dict)
     #: Faults the static fault-space analyzer *proved* untestable
     #: (constant lines, unobservable cones, const-blocked paths; see
     #: :mod:`repro.analysis.faultspace`).  These are excluded from
-    #: simulation and can never count against coverage.  Zero for runs
-    #: restored from pre-analyzer checkpoints.
+    #: simulation and can never count against coverage.
     n_untestable: int = 0
 
     @property
     def name(self) -> str:
         return self.profile.name
+
+    @property
+    def transition(self) -> Dict[str, float]:
+        """Transition-fault coverage (%) per final test set, flattened
+        from :attr:`delay` (empty without a delay report)."""
+        if self.delay is None:
+            return {}
+        return {label: summary.coverage
+                for label, summary in self.delay.sets.items()}
 
     @property
     def lint_rules(self) -> List[str]:
@@ -100,6 +101,69 @@ class CircuitRun:
             if rule and rule not in seen:
                 seen.append(rule)
         return seen
+
+
+#: The :func:`run_circuit` options that can change a run's test sets.
+#: Stored work -- a checkpointed run or phase-boundary salvage -- may
+#: stand in for a requested run only when it recorded every one of
+#: them with the requested value (:func:`same_result_knobs`).
+#: ``engine`` is absent because every engine produces identical
+#: results; ``delay`` only adds a measurement, so the checkpoint rule
+#: checks for the report instead.
+RESULT_KNOBS = ("x_fill", "power_budget", "adi", "scoap")
+
+
+def same_result_knobs(recorded: Mapping[str, Any],
+                      requested: Mapping[str, Any]) -> bool:
+    """True iff both mappings hold every :data:`RESULT_KNOBS` entry
+    with equal values.  A missing key fails: a record that does not
+    say how it was produced cannot stand in for a run."""
+    return all(name in recorded and name in requested
+               and recorded[name] == requested[name]
+               for name in RESULT_KNOBS)
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    """One run request: a suite circuit, a seed and :func:`run_circuit`'s
+    keyword options, one field each (same names, same defaults).
+
+    The spec is the only carrier of a run's options: the resilient
+    harness ships it across the ``spawn`` boundary as
+    ``dataclasses.asdict`` and workers rebuild it with
+    ``JobSpec(**spec_dict)``; both worker paths then call
+    ``run_circuit(profile, seed=..., hooks=..., **spec.options())``.
+    """
+
+    circuit: str
+    seed: int = 1
+    arms: Tuple[str, ...] = ("seqgen", "random")
+    with_baselines: bool = True
+    delay: bool = False
+    engine: str = "auto"
+    x_fill: str = "random"
+    power_budget: Optional[float] = None
+    adi: bool = False
+    scoap: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arms", tuple(self.arms))
+
+    @property
+    def key(self) -> Tuple[str, int]:
+        """Checkpoint identity (circuit, base seed)."""
+        return (self.circuit, self.seed)
+
+    @property
+    def result_knobs(self) -> Dict[str, Any]:
+        """This spec's :data:`RESULT_KNOBS` values."""
+        return {name: getattr(self, name) for name in RESULT_KNOBS}
+
+    def options(self) -> Dict[str, Any]:
+        """:func:`run_circuit`'s keyword options (every field but
+        ``circuit`` and ``seed``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("circuit", "seed")}
 
 
 def run_circuit(
@@ -132,8 +196,7 @@ def run_circuit(
         transition-fault coverage (on the C kernel under
         ``"auto"`` when it loads, the big-int reference otherwise)
         plus the test-clock cycle budget, recorded as
-        :attr:`CircuitRun.delay` (and, flattened, in
-        :attr:`CircuitRun.transition`).
+        :attr:`CircuitRun.delay`.
     engine:
         Simulation backend (``"auto"`` or the ``"interp"``
         reference), forwarded to
@@ -229,7 +292,6 @@ def run_circuit(
         power.sets["baseline4"] = power_engine.set_power(
             baseline4.test_set).summary()
 
-    transition: Dict[str, float] = {}
     delay_report: Optional[DelayReport] = None
     if delay:
         tsim = TransitionSim(wb.circuit, counters=wb.counters)
@@ -240,8 +302,6 @@ def run_circuit(
             sets[source] = arm.result.compacted_set or \
                 arm.result.test_set
         delay_report = measure_delay(tsim, sets)
-        for label, summary in delay_report.sets.items():
-            transition[label] = summary.coverage
 
     return CircuitRun(
         profile=profile,
@@ -253,7 +313,6 @@ def run_circuit(
         arms=arm_results,
         baseline4=baseline4,
         dynamic=dynamic,
-        transition=transition,
         seconds=time.time() - started,
         counters=wb.counters.as_dict(),
         diagnostics=[d.to_dict() for d in wb.diagnostics],
@@ -271,39 +330,6 @@ def run_circuit(
     )
 
 
-def run_circuit_by_name(
-    name: str,
-    seed: int = 1,
-    arms: Sequence[str] = ("seqgen", "random"),
-    with_baselines: bool = True,
-    delay: bool = False,
-    engine: str = "auto",
-    x_fill: str = "random",
-    power_budget: Optional[float] = None,
-    adi: bool = False,
-    scoap: bool = False,
-    hooks: Optional[Any] = None,
-) -> CircuitRun:
-    """:func:`run_circuit` on a suite circuit looked up by name.
-
-    This is the entry point the resilient harness's worker subprocess
-    uses: a name travels across the ``spawn`` boundary where a profile
-    (whose builder is a closure) cannot.
-
-    Raises
-    ------
-    KeyError
-        If ``name`` is not a suite circuit.
-    """
-    from ..circuits.suite import profile as lookup
-    return run_circuit(lookup(name), seed=seed, arms=arms,
-                       with_baselines=with_baselines,
-                       delay=delay,
-                       engine=engine,
-                       x_fill=x_fill, power_budget=power_budget,
-                       adi=adi, scoap=scoap, hooks=hooks)
-
-
 def resolve_profiles(
     profiles: Optional[Sequence[CircuitProfile]] = None,
     quick: bool = True,
@@ -318,15 +344,8 @@ def run_suite(
     profiles: Optional[Sequence[CircuitProfile]] = None,
     quick: bool = True,
     seed: int = 1,
-    arms: Sequence[str] = ("seqgen", "random"),
-    with_baselines: bool = True,
-    delay: bool = False,
-    engine: str = "auto",
-    x_fill: str = "random",
-    power_budget: Optional[float] = None,
-    adi: bool = False,
-    scoap: bool = False,
     verbose: bool = False,
+    **options: Any,
 ) -> List[CircuitRun]:
     """Run the whole suite serially, in process.
 
@@ -335,17 +354,12 @@ def run_suite(
     :func:`repro.experiments.harness.run_suite_resilient`, which adds
     worker isolation, timeouts, retries and checkpoint-resume.
 
-    See :func:`run_circuit` for the knobs.
+    ``options`` are :func:`run_circuit`'s keyword options (the
+    :class:`JobSpec` fields), forwarded to every circuit.
     """
-    profiles = resolve_profiles(profiles, quick=quick)
     runs = []
-    for profile in profiles:
-        run = run_circuit(profile, seed=seed, arms=arms,
-                          with_baselines=with_baselines,
-                          delay=delay,
-                          engine=engine,
-                          x_fill=x_fill, power_budget=power_budget,
-                          adi=adi, scoap=scoap)
+    for profile in resolve_profiles(profiles, quick=quick):
+        run = run_circuit(profile, seed=seed, **options)
         if verbose:  # pragma: no cover - console feedback only
             print(f"  {profile.name}: {run.seconds:.1f}s")
         runs.append(run)

@@ -11,10 +11,9 @@ version and a CRC32 of the canonical payload encoding::
     {"crc": "1a2b3c4d", "data": {...payload...}, "v": 1}
 
 :func:`decode_line` raises :class:`CorruptLine` on anything that is not
-a verifiable record -- truncated JSON, a CRC mismatch (bit rot, a
-partial overwrite) or an envelope version from the future.  Lines
-written before the envelope existed decode as *legacy* (version 0)
-records and stay readable.  Corrupt lines are **quarantined**: moved
+a verifiable record -- truncated JSON, a line without the envelope, a
+CRC mismatch (bit rot, a partial overwrite) or an envelope version
+from the future.  Corrupt lines are **quarantined**: moved
 into ``run_dir/quarantine/`` so they remain inspectable, while the
 source file is repaired in place -- a corrupt checkpoint line costs one
 recompute, never the campaign.
@@ -28,7 +27,9 @@ from scratch: the committed ``tau_seq``, its known detections, the
 :class:`~repro.sim.scoreboard.FaultScoreboard` ledger, the Phase-3
 test set.  A job killed by the wall clock or the stall supervisor
 leaves its salvage file behind; the retry loads it (CRC-verified,
-knob-checked) and skips every completed phase, byte-identically.
+knob-checked by the same rule as checkpoints:
+:func:`~repro.experiments.runner.same_result_knobs`) and skips every
+completed phase, byte-identically.
 
 **PartialRun.**  When a job ultimately fails but salvage exists, the
 outcome is not a bare FAILED row: :class:`PartialRun` records which
@@ -50,6 +51,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from . import reporting
+from .runner import same_result_knobs
 
 #: Envelope schema version written by this build.  Readers accept
 #: every version up to this one; greater versions are quarantined
@@ -61,12 +63,6 @@ QUARANTINE_DIR = "quarantine"
 
 #: Directory (under a run dir) holding per-job salvage files.
 SALVAGE_DIR = "salvage"
-
-#: Spec knobs that must match for salvaged state to be reused.  The
-#: engine is deliberately absent: the equivalence suite proves every
-#: engine byte-identical, so salvage written under one backend is
-#: valid under any other.
-SALVAGE_KNOBS = ("x_fill", "power_budget")
 
 
 class CorruptLine(ValueError):
@@ -93,14 +89,14 @@ def encode_line(payload: Mapping[str, Any]) -> str:
 def decode_line(line: str) -> Tuple[Dict[str, Any], int]:
     """Verify and unwrap one persisted line.
 
-    Returns ``(payload, version)``; version 0 marks a legacy
-    pre-envelope record (accepted as-is, nothing to verify against).
+    Returns ``(payload, version)``.
 
     Raises
     ------
     CorruptLine
-        On malformed JSON, a non-dict record, an envelope version this
-        reader does not know, or a CRC mismatch.
+        On malformed JSON, a non-dict record, a record without the
+        envelope, an envelope version this reader does not know, or a
+        CRC mismatch.
     """
     try:
         obj = json.loads(line)
@@ -109,7 +105,7 @@ def decode_line(line: str) -> Tuple[Dict[str, Any], int]:
     if not isinstance(obj, dict):
         raise CorruptLine("record is not an object")
     if not ("v" in obj and "crc" in obj and "data" in obj):
-        return obj, 0  # legacy pre-envelope record
+        raise CorruptLine("record has no envelope")
     version = obj["v"]
     if not isinstance(version, int) or version < 1:
         raise CorruptLine(f"bad envelope version {version!r}")
@@ -244,16 +240,12 @@ def salvage_usable(payload: Mapping[str, Any],
     """Salvaged state may seed a retry only under identical inputs.
 
     The seed must match exactly (a perturbed-seed attempt would mix
-    two different random streams into one result) and every
-    result-shaping knob in :data:`SALVAGE_KNOBS` must agree.
+    two different random streams into one result) and the recorded
+    knobs must pass the checkpoint rule,
+    :func:`~repro.experiments.runner.same_result_knobs`.
     """
-    if payload.get("seed") != seed:
-        return False
-    knobs = payload.get("knobs", {})
-    for name in SALVAGE_KNOBS:
-        if knobs.get(name) != spec_knobs.get(name):
-            return False
-    return True
+    return (payload.get("seed") == seed
+            and same_result_knobs(payload.get("knobs", {}), spec_knobs))
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +474,6 @@ class FileReport:
 
     name: str
     records: int = 0
-    legacy: int = 0
     quarantined: int = 0
 
 
@@ -513,8 +504,7 @@ class DoctorReport:
     def render(self) -> str:
         lines = [f"doctor: {self.run_dir}"]
         for f in self.files:
-            lines.append(f"  {f.name}: {f.records} record(s)"
-                         f" ({f.legacy} legacy),"
+            lines.append(f"  {f.name}: {f.records} record(s),"
                          f" {f.quarantined} quarantined")
         for circuit, seed, phase in self.salvageable:
             lines.append(f"  salvage: {circuit} seed {seed} resumable "
@@ -559,22 +549,7 @@ def doctor(run_dir: Union[str, Path]) -> DoctorReport:
     for name in ("runs.jsonl", "journal.jsonl"):
         path = run_dir / name
         payloads, n_bad = load_jsonl(path, run_dir, repair=True)
-        legacy = 0
-        if path.exists():
-            # Count legacy records for the report (cheap second pass
-            # over the already-repaired file).
-            with open(path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        _, version = decode_line(line)
-                        legacy += int(version == 0)
-                    except CorruptLine:  # pragma: no cover - repaired
-                        pass
         report.files.append(FileReport(name, records=len(payloads),
-                                       legacy=legacy,
                                        quarantined=n_bad))
         if name == "runs.jsonl":
             for payload in payloads:

@@ -73,8 +73,7 @@ def table1(runs: Sequence[CircuitRun], source: str = "seqgen",
     The ``untst`` column (not in the paper) counts the faults the
     static analyzer *proved* untestable -- they are excluded from
     simulation and bound the achievable ``final`` count at
-    ``flts - untst``.  Runs restored from pre-analyzer checkpoints
-    show ``0``.
+    ``flts - untst``.
     """
     table = Table(f"Table 1: Detected faults (T0 source: {source})",
                   ["circuit", "ff", "comb tsts", "flts", "untst",
@@ -260,8 +259,8 @@ def table_delay(runs: Sequence[CircuitRun],
     cycles with slow shifts and resync overhead priced in
     (``tester``).  The ``clk`` column tags the clock scheme and shift
     divisor the report was produced under; ``tdf`` is the simulation
-    route.  Runs without a delay report (legacy checkpoints, runs
-    without ``--delay``) contribute no rows.
+    route.  Runs without a delay report (runs without ``--delay``)
+    contribute no rows.
     """
     table = Table(
         "Delay: TDF coverage / test-clock cost of final test sets",
@@ -328,11 +327,11 @@ def all_tables(runs: Sequence[CircuitRun],
                partials: Partials = None) -> List[Table]:
     """Every paper table (plus the extensions when data is present).
 
-    ``with_delay`` forces the at-speed coverage table even when no
-    surviving run carries transition data (so a failed ``--delay``
-    campaign still renders the table frame); the Delay cost table
-    appears whenever any run carries a full
-    :class:`~repro.delay.clocking.DelayReport`.  ``failures``
+    The two at-speed tables (transition-fault coverage and Delay cost)
+    appear whenever any run carries a
+    :class:`~repro.delay.clocking.DelayReport`; ``with_delay`` forces
+    them even when none does (so a failed ``--delay`` campaign still
+    renders the table frames).  ``failures``
     annotates circuits whose job produced no run; ``partials``
     upgrades those annotations to ``PARTIAL(phase k/4)`` rows with
     salvaged coverage columns.  The tables render with the surviving
@@ -343,10 +342,9 @@ def all_tables(runs: Sequence[CircuitRun],
               table3(runs, failures=failures, partials=partials),
               table4(runs, failures=failures, partials=partials),
               table5(runs, failures=failures, partials=partials)]
-    if with_delay or any(run.transition for run in runs):
+    if with_delay or any(run.delay is not None for run in runs):
         tables.append(table_atspeed_coverage(runs, failures=failures,
                                              partials=partials))
-    if with_delay or any(run.delay is not None for run in runs):
         tables.append(table_delay(runs, failures=failures,
                                   partials=partials))
     if any(run.power is not None for run in runs):

@@ -48,24 +48,21 @@ vector omission, Phase 3 top-off incl. the ``tau_seq`` full-set
 re-simulation, Phase 4 static compaction).  They are bumped by the
 :meth:`SimCounters.phase_timer` context manager from
 :func:`repro.core.proposed.run` and surfaced in the CLI "Engine
-counters" table and ``CircuitRun`` JSON; checkpoints written before
-these fields existed simply lack the keys and render as dashes.
+counters" table and ``CircuitRun`` JSON.
 
 Power-engine counters
 ---------------------
 ``power_passes`` counts test-set power measurements (one per
 :meth:`~repro.power.activity.ActivityEngine.set_power` call),
 ``power_words`` the packed frame words the activity engine evaluated,
-and ``power_s`` its wall clock (via ``phase_timer("power")``).  Like
-the phase timers, these render as dashes for legacy checkpoints.
+and ``power_s`` its wall clock (via ``phase_timer("power")``).
 
 Backend counters
 ----------------
 ``np_passes`` counts pass *chunks* executed by the C pass kernel
 (:mod:`repro.sim.npsim`) -- zero under the big-int engines and when
 the kernel is unavailable, so it doubles as a cheap "did the kernel
-actually run?" probe for tests and benchmarks.  Legacy checkpoints
-lack the key and render as dashes.
+actually run?" probe for tests and benchmarks.
 
 Trial-batch counters
 --------------------
@@ -77,8 +74,7 @@ effective trial-batching density.  ``adi_orderings`` counts the
 Accidental-Detection-Index ordering decisions applied (fused-word
 packing, Phase-3 target order, Phase-1 candidate scoring); it stays
 zero unless the ``--adi`` knob is on (or ``--scoap``, which reuses
-the packing-order hook when ADI is off).  All three render as
-dashes for legacy checkpoints.
+the packing-order hook when ADI is off).
 
 Transition-fault counters
 -------------------------
@@ -90,8 +86,6 @@ those passes performed (frames simulated per pass, summed), and
 ``tdf_s`` the simulator's wall clock (via ``phase_timer("tdf")``).
 The good-machine recording pass is excluded: these counters measure
 the faulty-capture work the wide-word packing actually shrinks.
-Like the other families, all three render as dashes for legacy
-checkpoints.
 
 Static fault-space counters
 ---------------------------
@@ -107,7 +101,6 @@ untestable (bumped once per
 installation, not per pass).  ``scoap_orderings`` counts SCOAP
 difficulty-ordering decisions applied (Phase-1 candidate scoring,
 Phase-3 top-off order); zero unless the ``--scoap`` knob is on.
-All render as dashes for legacy checkpoints.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 from . import values as V
 from ..analysis import sanitizer
 from .counters import SimCounters
-from .faults import Fault, FaultSet
+from .faults import FaultSet
 from .logicsim import CompiledCircuit
 from .scoreboard import FaultScoreboard
 
@@ -1228,16 +1228,6 @@ class FaultSimulator:
                     ) -> "IncrementalFaultSim":
         """An :class:`IncrementalFaultSim` positioned at frame 0."""
         return IncrementalFaultSim(self, init_state, target)
-
-    # ------------------------------------------------------------------
-    def detect_faults(self, vectors, init_state=None,
-                      target_faults: Optional[Sequence[Fault]] = None,
-                      **kwargs) -> Set[Fault]:
-        """Like :meth:`detect` but takes and returns :class:`Fault` objects."""
-        target = (None if target_faults is None
-                  else self.faults.indices(target_faults))
-        detected = self.detect(vectors, init_state, target, **kwargs)
-        return {self.faults[i] for i in detected}
 
 
 @dataclass

@@ -7,8 +7,9 @@ lines on resume.  Subprocess cases use the cheap s27/b02 jobs with a
 single arm to keep the suite fast.
 """
 
+import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.experiments import harness, reporting, runner, tables
 from repro.experiments.harness import (HarnessConfig, JobRecord, JobSpec,
                                        RunStore, run_jobs,
                                        run_suite_resilient)
+from repro.experiments.salvage import encode_line
 
 
 def _spec(circuit="s27", **kw):
@@ -42,7 +44,11 @@ class TestSerialization:
         back = reporting.run_from_dict(json.loads(blob))
         assert back.name == "s27"
         assert back.n_faults == s27_full_run.n_faults
-        assert back.transition == s27_full_run.transition
+        # The flat coverage dict derives from the delay report, whose
+        # checkpoint form keeps two decimals.
+        assert back.transition == {
+            label: round(cov, 2)
+            for label, cov in s27_full_run.transition.items()}
         for source in ("seqgen", "random"):
             orig = s27_full_run.arms[source].result
             rest = back.arms[source].result
@@ -54,7 +60,8 @@ class TestSerialization:
 
     def test_roundtrip_preserves_delay_report(self, s27_full_run):
         """The at-speed report survives the JSON checkpoint verbatim;
-        legacy checkpoints without the key load with delay=None."""
+        a record without the key is not one the writer produces and
+        fails to load."""
         assert s27_full_run.delay is not None
         blob = json.dumps(reporting.run_to_dict(s27_full_run))
         back = reporting.run_from_dict(json.loads(blob))
@@ -63,7 +70,8 @@ class TestSerialization:
         assert back.delay.spec == s27_full_run.delay.spec
         legacy = reporting.run_to_dict(s27_full_run)
         del legacy["delay"]
-        assert reporting.run_from_dict(legacy).delay is None
+        with pytest.raises(KeyError):
+            reporting.run_from_dict(legacy)
 
     def test_roundtrip_preserves_counters(self, s27_full_run):
         assert s27_full_run.counters  # the runner collected them
@@ -91,13 +99,19 @@ class TestSerialization:
                    for k in ("phase1_s", "phase2_s",
                              "phase3_s", "phase4_s"))
 
-    def test_legacy_checkpoint_without_counters(self, s27_full_run):
+    def test_legacy_checkpoint_without_counters(self, tmp_path,
+                                                s27_full_run):
+        """A stored run without the counters key is counted corrupt by
+        the run store, so a resume recomputes the job."""
         data = reporting.run_to_dict(s27_full_run)
         del data["counters"]
-        back = reporting.run_from_dict(data)
-        assert back.counters == {}
-        # The renderer degrades to dashes, never crashes.
-        assert "-" in reporting.engine_counters_table([back]).render()
+        with pytest.raises(KeyError):
+            reporting.run_from_dict(data)
+        store = RunStore(tmp_path)
+        with open(store.runs_path, "a") as handle:
+            handle.write(encode_line({"circuit": "s27", "seed": 1,
+                                      "run": data}) + "\n")
+        assert store.load_runs() == ({}, 1)
 
     def test_legacy_checkpoint_without_phase_timers(self, s27_full_run):
         """Checkpoints written before the timer fields existed render
@@ -219,8 +233,8 @@ class TestInlineMode:
         assert harness._attempt_seed(spec, 2, config) == spec.seed
         assert harness._attempt_seed(spec, 3, config) == \
             spec.seed + harness.SEED_PERTURBATION
-        config.perturb_final_seed = False
-        assert harness._attempt_seed(spec, 3, config) == spec.seed
+        # A single attempt is never perturbed.
+        assert harness._attempt_seed(spec, 1, _cfg()) == spec.seed
 
 
 class TestIsolatedChaos:
@@ -405,15 +419,6 @@ class TestPreflightLint:
         # JSON round-trip re-coerces the rule list to a tuple.
         assert records[0].lint_rules == ("struct.undriven-net",)
 
-    def test_preflight_opt_out_restores_crash(self, monkeypatch):
-        self._install_broken(monkeypatch)
-        out = run_jobs([_spec("brokenville")],
-                       _cfg(isolate=False, preflight=False))
-        record = out.records[0]
-        assert record.status == "failed"
-        assert record.lint_rules == ()
-        assert not out.ok
-
     def test_healthy_circuit_has_no_lint_rules(self):
         out = run_jobs([_spec("s27")], _cfg(isolate=False))
         assert out.ok
@@ -461,10 +466,13 @@ class TestPowerSerialization:
             tables.table_power([s27_full_run]).rows
 
     def test_legacy_checkpoint_without_power(self, s27_full_run):
-        """Checkpoints written before the power subsystem load with
-        power=None and the power table silently drops them."""
+        """A record without the power key fails to load; a run without
+        a power report drops out of the power table."""
         data = reporting.run_to_dict(s27_full_run)
         del data["power"]
+        with pytest.raises(KeyError):
+            reporting.run_from_dict(data)
+        data["power"] = None
         back = reporting.run_from_dict(data)
         assert back.power is None
         assert tables.table_power([back]).rows == []
@@ -482,21 +490,24 @@ class TestPowerSerialization:
 
     def test_engine_column_and_legacy_dashes(self, s27_full_run):
         """The counters table shows the engine knob (``eng``) and the
-        numpy pass count (``np``); a checkpoint from before either
-        field renders dashes in those columns, not a KeyError."""
+        numpy pass count (``np``); a counters dict without a key
+        renders a dash in that column, not a KeyError, while a record
+        without the knobs key fails to load."""
         table = reporting.engine_counters_table([s27_full_run])
         assert "eng" in table.headers and "np" in table.headers
         row = dict(zip(table.headers, table.rows[0]))
         assert row["eng"] == s27_full_run.knobs["engine"]
         assert row["np"] == s27_full_run.counters["np_passes"]
         data = reporting.run_to_dict(s27_full_run)
-        del data["knobs"]
         del data["counters"]["np_passes"]
         back = reporting.run_from_dict(data)
         legacy = reporting.engine_counters_table([back])
         row = dict(zip(legacy.headers, legacy.rows[0]))
-        assert row["eng"] is None and row["np"] is None
+        assert row["eng"] == "auto" and row["np"] is None
         assert "-" in legacy.render()
+        del data["knobs"]
+        with pytest.raises(KeyError):
+            reporting.run_from_dict(data)
 
     def test_jobspec_defaults_from_legacy_dict(self):
         """A spec dict from before the power fields still loads with
@@ -519,13 +530,6 @@ class TestPowerSerialization:
             s27_full_run, _spec(arms=("random",), x_fill="adjacent"))
         assert not _checkpoint_usable(
             s27_full_run, _spec(arms=("random",), power_budget=9.0))
-        # ... and a pre-power checkpoint (power=None) too.
-        data = reporting.run_to_dict(s27_full_run)
-        del data["power"]
-        old = reporting.run_from_dict(data)
-        assert _checkpoint_usable(old, base)
-        assert not _checkpoint_usable(
-            old, _spec(arms=("random",), x_fill="adjacent"))
         # A default spec must not reuse a non-default checkpoint.
         data = reporting.run_to_dict(s27_full_run)
         data["knobs"]["x_fill"] = "adjacent"
@@ -535,36 +539,55 @@ class TestPowerSerialization:
         data["knobs"]["power_budget"] = 9.0
         assert not _checkpoint_usable(reporting.run_from_dict(data),
                                       base)
-        # Pre-knob checkpoints fall back to the PowerReport fields.
+        # A record that does not name a knob serves no request.
         data = reporting.run_to_dict(s27_full_run)
-        del data["knobs"]
-        data["power"]["x_fill"] = "adjacent"
-        assert not _checkpoint_usable(reporting.run_from_dict(data),
-                                      base)
-        data["power"]["x_fill"] = "random"
-        data["power"]["budget"] = 9.0
+        del data["knobs"]["power_budget"]
         assert not _checkpoint_usable(reporting.run_from_dict(data),
                                       base)
 
     def test_checkpoint_usable_rejects_every_knob(self, s27_full_run):
         """Every JobSpec result-shaping knob participates in the
-        checkpoint compatibility check, including on legacy spec
-        dicts rebuilt without the newer fields."""
+        checkpoint compatibility check, salvage reuse gives the same
+        verdict knob for knob, and the check also holds on legacy
+        spec dicts rebuilt without the newer fields."""
         from dataclasses import asdict
-        from repro.experiments.harness import (CHECKPOINT_KNOBS,
-                                               _checkpoint_usable)
+        from repro.experiments.harness import _checkpoint_usable
+        from repro.experiments.runner import RESULT_KNOBS
+        from repro.experiments.salvage import salvage_usable
         base = _spec(arms=("seqgen", "random"), with_baselines=True,
                      delay=True)
         different = {"x_fill": "adjacent", "power_budget": 9.0,
                      "adi": True, "scoap": True}
-        assert set(different) == set(CHECKPOINT_KNOBS)
+        assert set(different) == set(RESULT_KNOBS)
+        # The salvage a run like s27_full_run would leave behind.
+        salvage = {"seed": 1, "knobs": base.result_knobs}
+        assert _checkpoint_usable(s27_full_run, base)
+        assert salvage_usable(salvage, base.result_knobs, base.seed)
         for name, value in different.items():
-            spec = _spec(arms=("seqgen", "random"), with_baselines=True,
-                         **{"delay": True, name: value})
+            spec = replace(base, **{name: value})
             assert not _checkpoint_usable(s27_full_run, spec), name
+            assert not salvage_usable(salvage, spec.result_knobs,
+                                      spec.seed), name
+            # A record missing the knob fails both rules too.
+            data = reporting.run_to_dict(s27_full_run)
+            del data["knobs"][name]
+            stripped = {"seed": 1, "knobs": dict(base.result_knobs)}
+            del stripped["knobs"][name]
+            assert not _checkpoint_usable(reporting.run_from_dict(data),
+                                          base), name
+            assert not salvage_usable(stripped, base.result_knobs,
+                                      base.seed), name
         # The engine never changes results, so it is not compared.
         assert _checkpoint_usable(s27_full_run,
                                   replace(base, engine="interp"))
+        # JobSpec mirrors run_circuit's keyword options one for one
+        # (names and defaults), so no run option can bypass the spec.
+        params = inspect.signature(runner.run_circuit).parameters
+        assert {f.name for f in fields(JobSpec)} - {"circuit", "seed"} \
+            == set(params) - {"profile", "seed", "hooks"}
+        for f in fields(JobSpec):
+            if f.name != "circuit":
+                assert f.default == params[f.name].default, f.name
         # A legacy spec dict (pre-knob fields stripped) resolves to the
         # defaults and must still accept the matching checkpoint.
         legacy = asdict(base)
@@ -601,8 +624,7 @@ class TestPowerSerialization:
     def test_checkpoint_usable_delay_asymmetric(self, s27_full_run):
         """--delay is measurement-only: a delay-bearing checkpoint
         serves both settings, but a bare checkpoint cannot serve a
-        delay request (nor can a with_transition-era one, which
-        carried only the flat coverage dict)."""
+        delay request."""
         from repro.experiments.harness import _checkpoint_usable
         plain = _spec(arms=("seqgen", "random"), with_baselines=True)
         wants = _spec(arms=("seqgen", "random"), with_baselines=True,

@@ -43,11 +43,10 @@ class TestEnvelope:
         assert data == payload
         assert version == 1
 
-    def test_legacy_line_passes_through(self):
-        """Pre-envelope dicts decode as version 0, unverified."""
-        data, version = decode_line('{"status": "ok", "seed": 3}')
-        assert version == 0
-        assert data == {"status": "ok", "seed": 3}
+    def test_unenveloped_line_raises(self):
+        """A bare dict carries nothing to verify against: corrupt."""
+        with pytest.raises(CorruptLine, match="no envelope"):
+            decode_line('{"status": "ok", "seed": 3}')
 
     def test_not_json_raises(self):
         with pytest.raises(CorruptLine, match="not JSON"):
@@ -105,14 +104,17 @@ class TestLoadJsonl:
     def test_missing_file(self, tmp_path):
         assert load_jsonl(tmp_path / "nope.jsonl", tmp_path) == ([], 0)
 
-    def test_legacy_lines_survive_repair(self, tmp_path):
+    def test_unenveloped_lines_quarantined(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        legacy = '{"status": "ok"}'
-        path.write_text(f"{legacy}\nbroken{{\n")
+        good = encode_line({"status": "ok"})
+        bare = '{"status": "ok"}'
+        path.write_text(f"{bare}\n{good}\nbroken{{\n")
         payloads, n_bad = load_jsonl(path, tmp_path)
         assert payloads == [{"status": "ok"}]
-        assert n_bad == 1
-        assert path.read_text() == f"{legacy}\n"
+        assert n_bad == 2
+        assert path.read_text() == f"{good}\n"
+        quarantined = (tmp_path / "quarantine" / "journal.jsonl")
+        assert bare in quarantined.read_text()
 
     def test_truncated_trailing_lines_both_stores(self, tmp_path):
         """Regression: a process killed mid-append leaves a truncated
@@ -171,29 +173,28 @@ class TestSalvageStore:
         store.discard("s27", 1)  # idempotent
 
     def test_usability_gate(self):
-        payload = {"seed": 1,
-                   "knobs": {"x_fill": "random", "power_budget": None}}
-        knobs = {"x_fill": "random", "power_budget": None}
+        knobs = _spec().result_knobs
+        payload = {"seed": 1, "knobs": dict(knobs)}
         assert salvage_usable(payload, knobs, 1)
         assert not salvage_usable(payload, knobs, 2)
-        assert not salvage_usable(payload,
-                                  {"x_fill": "adjacent",
-                                   "power_budget": None}, 1)
-        assert not salvage_usable(payload,
-                                  {"x_fill": "random",
-                                   "power_budget": 9.0}, 1)
+        for name, value in (("x_fill", "adjacent"), ("power_budget", 9.0),
+                            ("adi", True), ("scoap", True)):
+            assert not salvage_usable(payload, {**knobs, name: value},
+                                      1), name
+        # Salvage that does not record a knob is never reused.
+        del payload["knobs"]["adi"]
+        assert not salvage_usable(payload, knobs, 1)
 
 
 class TestSalvageWriter:
-    KNOBS = {"x_fill": "random", "power_budget": None}
+    KNOBS = _spec().result_knobs
 
     def test_incompatible_prior_salvage_discarded(self, tmp_path):
         store = SalvageStore(tmp_path)
         writer = SalvageWriter(store, "s27", 1, self.KNOBS)
         writer.set_meta({"n_faults": 32})
         other = SalvageWriter(store, "s27", 1,
-                              {"x_fill": "adjacent",
-                               "power_budget": None})
+                              {**self.KNOBS, "x_fill": "adjacent"})
         assert other.payload["meta"] == {}
         assert other.payload["knobs"]["x_fill"] == "adjacent"
 
@@ -362,18 +363,70 @@ class TestPhaseResume:
         assert "phase 2/4" in summary
 
     def test_perturbed_seed_skipped_with_salvage(self, tmp_path):
-        """perturb_final_seed must not fire when salvage exists --
-        resuming under a different seed would splice two streams."""
-        store = RunStore(tmp_path)
+        """The final-attempt seed perturbation must not fire when
+        salvage exists -- resuming under a different seed would splice
+        two streams."""
         spec = _spec()
         state = harness._JobState(spec, attempts=2)
-        cfg = _cfg(retries=1, perturb_final_seed=True)
+        cfg = _cfg(retries=1)
         assert harness._attempt_seed(spec, 2, cfg,
                                      has_salvage=False) == \
             spec.seed + harness.SEED_PERTURBATION
         assert harness._attempt_seed(spec, 2, cfg,
                                      has_salvage=True) == spec.seed
         assert state  # silence unused warning
+
+
+class TestKnobMismatchedSalvage:
+    """Salvage left by a job under other result knobs never seeds a
+    job: a plain job after a crashed ``adi``/``scoap`` job (and the
+    reverse) matches a clean run and records its own knobs."""
+
+    @staticmethod
+    def _b02(**knobs):
+        return JobSpec("b02", seed=1, arms=("seqgen",),
+                       with_baselines=False, **knobs)
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        """``proposed_to_dict`` of clean b02 runs, keyed by knob."""
+        refs = {}
+        for knob in (None, "adi", "scoap"):
+            spec = self._b02(**({knob: True} if knob else {}))
+            outcome = run_jobs([spec], config=_cfg(isolate=False))
+            assert outcome.ok
+            refs[knob] = reporting.proposed_to_dict(
+                outcome.runs[0].arms["seqgen"].result)
+        return refs
+
+    def _crash_then_run(self, run_dir, dead, live):
+        died = run_jobs([dead],
+                        config=_cfg(isolate=False, retries=0,
+                                    run_dir=run_dir,
+                                    chaos=_chaos_once("crash@phase4")))
+        assert not died.ok
+        assert died.records[0].salvaged_phase == 3
+        outcome = run_jobs([live], config=_cfg(isolate=False, retries=0,
+                                               run_dir=run_dir))
+        assert outcome.ok
+        return outcome.runs[0]
+
+    @pytest.mark.parametrize("knob", ["adi", "scoap"])
+    def test_plain_job_after_knob_salvage(self, tmp_path, clean, knob):
+        assert clean[knob] != clean[None]  # the knob shapes b02's result
+        run = self._crash_then_run(tmp_path, self._b02(**{knob: True}),
+                                   self._b02())
+        assert run.knobs[knob] is False
+        assert reporting.proposed_to_dict(
+            run.arms["seqgen"].result) == clean[None]
+
+    @pytest.mark.parametrize("knob", ["adi", "scoap"])
+    def test_knob_job_after_plain_salvage(self, tmp_path, clean, knob):
+        run = self._crash_then_run(tmp_path, self._b02(),
+                                   self._b02(**{knob: True}))
+        assert run.knobs[knob] is True
+        assert reporting.proposed_to_dict(
+            run.arms["seqgen"].result) == clean[knob]
 
 
 class TestDoctor:

@@ -140,12 +140,6 @@ class TestConsistency:
         assert sim.detect(vectors, init, target=subset,
                           early_exit=False) == set(subset)
 
-    def test_detect_faults_wrapper(self, s27):
-        faults = FaultSet.collapsed(s27)
-        sim = FaultSimulator(CompiledCircuit(s27), faults)
-        got = sim.detect_faults([V.vec("1111")], V.vec("000"))
-        assert all(isinstance(f, Fault) for f in got)
-
     def test_invalid_width(self, s27):
         faults = FaultSet.collapsed(s27)
         with pytest.raises(ValueError):

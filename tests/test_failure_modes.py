@@ -120,10 +120,16 @@ class TestHarnessDegradation:
         assert all("s27" in text for text in rendered)
         assert all("FAILED(" in text for text in rendered)
 
-    def test_run_circuit_by_name_unknown(self):
-        from repro.experiments import run_circuit_by_name
-        with pytest.raises(KeyError, match="unknown suite circuit"):
-            run_circuit_by_name("sXXX")
+    def test_unknown_circuit_job_fails(self):
+        """A job naming no suite circuit fails with the registry's
+        message instead of raising out of the harness."""
+        from repro.experiments.harness import (HarnessConfig, JobSpec,
+                                               run_jobs)
+        outcome = run_jobs([JobSpec("sXXX")], HarnessConfig(isolate=False))
+        assert not outcome.ok
+        record = outcome.records[0]
+        assert record.status == "failed"
+        assert "unknown suite circuit" in record.error
 
 
 class TestApiGuards:
