@@ -9,6 +9,13 @@ fault-simulation sweep needs:
 * every ``(circuit, seed)`` job runs in an isolated worker subprocess
   (``multiprocessing`` with the ``spawn`` start method), so a crash or
   an out-of-control computation cannot take the campaign down;
+* workers are **warm**: each ``jobs`` slot keeps one worker, which
+  serves the slot's next job after an ``ok`` result, so import and
+  set-up are paid once per slot; an error, hard exit, timeout or
+  stall retires it, and a retry always starts in a fresh process;
+* the C pass kernel is **built once per run** by the supervisor,
+  alongside the first workers' imports, into a run-scoped directory
+  removed at the end; workers dlopen it (see :class:`_KernelBuild`);
 * a per-job wall-clock **timeout** kills hung workers;
 * failed and timed-out jobs are **retried** with exponential backoff,
   perturbing the seed on the final attempt (a different random ``T0``
@@ -93,16 +100,22 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
+import subprocess
+import tempfile
+import threading
 import time
 import traceback
 import zlib
 from dataclasses import asdict, dataclass, field, replace
+from importlib.util import find_spec
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..circuits import suite
 from ..circuits.suite import CircuitProfile
+from ..sim import npsim
 from . import reporting
 from .reporting import Table
 from .runner import (CircuitRun, JobSpec, resolve_profiles, run_circuit,
@@ -197,7 +210,10 @@ class HarnessConfig:
     retries:
         Extra attempts after the first failure (total = retries + 1).
     jobs:
-        Worker subprocesses running concurrently.
+        Worker subprocesses running concurrently.  Each slot keeps
+        one warm worker: it serves the slot's next first attempt after
+        an ``ok`` result and is retired after any other ending (a
+        retry always gets a freshly spawned worker).
     run_dir:
         Checkpoint directory; None disables checkpointing (and
         phase-boundary salvage, which lives under it).
@@ -402,19 +418,47 @@ def _build_hooks(spec: JobSpec, seed: int, directive: Optional[str],
     return WorkerHooks(reporter, salvage, chaos, isolated=isolated)
 
 
-def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
-                 directive: Optional[str],
-                 run_dir: Optional[str] = None,
+def _worker_main(conn, kernel_path: Optional[str] = None,
                  heartbeat_interval: float = 1.0) -> None:
-    """Subprocess body: run one circuit job, send the result back.
+    """Subprocess body: a warm worker serving jobs until its pipe closes.
 
-    Must stay importable at module top level for ``spawn``; the spec
-    travels as ``asdict(spec)``.  The pipe carries ``("heartbeat",
-    status)`` messages while the job runs and exactly one final
-    ``("ok", run_dict)`` or ``("error", traceback)``; the heartbeat
-    pump is stopped before the final send (the pipe is not safe for
-    concurrent writers).
+    Must stay importable at module top level for ``spawn``.  Each job
+    arrives over the duplex pipe as ``(spec_dict, seed, directive,
+    run_dir)`` (the spec travels as ``asdict(spec)``); EOF ends the
+    loop.  ``kernel_path`` is the C kernel the supervisor built for
+    this run; the worker dlopens it on first use (None: load the
+    kernel as any process would).  The worker serves another job only
+    after an ``ok`` result; after an error it exits, so the
+    supervisor's next attempt gets a fresh process.
     """
+    if kernel_path is not None:
+        npsim.use_prebuilt_kernel(kernel_path)
+    try:
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            if not _serve_job(conn, job, heartbeat_interval):
+                return
+    finally:
+        try:
+            conn.close()
+        except Exception:  # pragma: no cover
+            pass
+
+
+def _serve_job(conn, job: Tuple[Dict[str, Any], int, Optional[str],
+                                Optional[str]],
+               heartbeat_interval: float) -> bool:
+    """Run one job in the worker; True when it ended ``ok``.
+
+    The pipe carries ``("heartbeat", status)`` messages while the job
+    runs and exactly one final ``("ok", run_dict)`` or ``("error",
+    traceback)``; the heartbeat pump is stopped before the final send
+    (the pipe is not safe for concurrent writers).
+    """
+    spec_dict, seed, directive, run_dir = job
     reporter = None
     try:
         spec = JobSpec(**spec_dict)
@@ -426,6 +470,7 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
                           hooks=hooks, **spec.options())
         reporter.stop()
         conn.send(("ok", reporting.run_to_dict(run)))
+        return True
     except BaseException:
         try:
             if reporter is not None:
@@ -433,11 +478,7 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
             conn.send(("error", traceback.format_exc()))
         except Exception:  # pragma: no cover - parent went away
             pass
-    finally:
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover
-            pass
+        return False
 
 
 def _run_attempt_inline(spec: JobSpec, seed: int,
@@ -479,19 +520,78 @@ class _JobState:
     progress: Optional[str] = None
 
 
-class _ActiveWorker:
-    __slots__ = ("state", "proc", "conn", "started", "deadline",
+class _Worker:
+    """One warm worker process and its duplex pipe.
+
+    ``state`` is the job in flight (None while idle); ``started``,
+    ``deadline`` and ``last_beat`` time that job's attempt.
+    """
+
+    __slots__ = ("proc", "conn", "state", "started", "deadline",
                  "last_beat")
 
-    def __init__(self, state, proc, conn, started, deadline) -> None:
-        self.state = state
+    def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
-        self.started = started
-        self.deadline = deadline
-        # Launch counts as a beat: a worker is granted one full stall
-        # window to come up before silence becomes suspicious.
-        self.last_beat = started
+        self.state: Optional[_JobState] = None
+        self.started = 0.0
+        self.deadline: Optional[float] = None
+        self.last_beat = 0.0
+
+    def retire(self) -> None:
+        """Kill the process and release its pipe."""
+        self.proc.kill()
+        self.proc.join(timeout=5)
+        self.conn.close()
+
+
+class _KernelBuild:
+    """The run's one C-kernel build, shared by every worker.
+
+    Compiled in a background thread, so the ``cc`` run overlaps the
+    first workers' imports; :meth:`wait` before sending a worker its
+    first job.  Built only when a job runs ``engine="auto"`` and numpy
+    and cffi are installed (checked without importing them).  With
+    ``$REPRO_KERNEL_CACHE`` set the build goes into the cache entry
+    (nothing to build on a hit); otherwise into a run-scoped directory
+    that :meth:`close` removes.  A failed build leaves ``path``
+    missing, and workers then build for themselves
+    (:func:`repro.sim.npsim._load_kernel`).
+    """
+
+    def __init__(self, specs: Sequence[JobSpec]) -> None:
+        self.path: Optional[str] = None
+        self._dir: Optional[str] = None
+        self._thread: Optional[threading.Thread] = None
+        if not any(s.engine == "auto" for s in specs) \
+                or find_spec("numpy") is None or find_spec("cffi") is None:
+            return
+        target = npsim._kernel_cache_path()
+        if target is not None and os.path.exists(target):
+            return
+        if target is None:
+            self._dir = tempfile.mkdtemp(prefix="repro-run-kernel-")
+            target = os.path.join(self._dir, "repro_kernel.so")
+        self.path = target
+        self._thread = threading.Thread(target=self._build, daemon=True)
+        self._thread.start()
+
+    def _build(self) -> None:
+        try:
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            npsim._compile_kernel(self.path)
+        except (RuntimeError, OSError, subprocess.SubprocessError):
+            pass
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def close(self) -> None:
+        self.wait()
+        if self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
 
 
 def _attempt_seed(spec: JobSpec, attempt: int, config: HarnessConfig,
@@ -763,41 +863,68 @@ def _run_isolated(pending: List[_JobState], config: HarnessConfig,
                   partials: Dict[str, PartialRun],
                   verbose: bool) -> None:
     """Subprocess execution with timeouts, stall detection and bounded
-    parallelism."""
+    parallelism.
+
+    At most ``config.jobs`` workers are alive.  A worker whose job
+    ended ``ok`` goes back to the idle pool and serves the next first
+    attempt; any other ending retires it, and a retry always gets a
+    freshly spawned worker.
+    """
     import multiprocessing
 
     ctx = multiprocessing.get_context("spawn")
     max_workers = max(1, config.jobs)
-    active: List[_ActiveWorker] = []
+    active: List[_Worker] = []
+    idle: List[_Worker] = []
+    kernel = _KernelBuild([s.spec for s in pending])
 
-    def launch(state: _JobState) -> None:
+    def take_worker(state: _JobState) -> _Worker:
+        if idle and state.attempts == 0 and idle[-1].proc.is_alive():
+            return idle.pop()
+        if idle:  # dead, or a retry: free a slot for a fresh process
+            idle.pop().retire()
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, kernel.path, config.heartbeat_interval),
+            daemon=True)
+        proc.start()
+        child_conn.close()
+        return _Worker(proc, parent_conn)
+
+    def launch(worker: _Worker) -> None:
+        state = worker.state
         state.attempts += 1
         directive = _chaos_directive(config, store, state.spec,
                                      state.attempts)
         seed = _attempt_seed(state.spec, state.attempts, config,
                              _has_salvage(store, state.spec))
         run_dir = str(store.run_dir) if store is not None else None
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, asdict(state.spec), seed, directive,
-                  run_dir, config.heartbeat_interval),
-            daemon=True)
-        proc.start()
-        child_conn.close()
+        kernel.wait()
         now = time.monotonic()
-        deadline = now + config.timeout if config.timeout else None
-        active.append(_ActiveWorker(state, proc, parent_conn, now,
-                                    deadline))
+        worker.started = now
+        worker.deadline = now + config.timeout if config.timeout else None
+        # Launch counts as a beat: a worker is granted one full stall
+        # window to come up before silence becomes suspicious.
+        worker.last_beat = now
+        try:
+            worker.conn.send((asdict(state.spec), seed, directive,
+                              run_dir))
+        except OSError:
+            pass  # the worker is dead; the poll loop settles the job
 
-    def settle(worker: _ActiveWorker, status: str, payload: Any) -> None:
+    def settle(worker: _Worker, status: str, payload: Any) -> None:
         active.remove(worker)
-        worker.conn.close()
-        worker.state.seconds += time.monotonic() - worker.started
-        _finish(worker.state, status, payload, config, store, results,
+        state, worker.state = worker.state, None
+        state.seconds += time.monotonic() - worker.started
+        if status == "ok":
+            idle.append(worker)
+        else:
+            worker.retire()
+        _finish(state, status, payload, config, store, results,
                 records, pending, partials, verbose)
 
-    def drain(worker: _ActiveWorker) -> bool:
+    def drain(worker: _Worker) -> bool:
         """Consume pipe messages; True if the worker was settled.
 
         Heartbeats update the worker's liveness stamp and last-seen
@@ -812,7 +939,6 @@ def _run_isolated(pending: List[_JobState], config: HarnessConfig,
                     worker.last_beat = time.monotonic()
                     worker.state.progress = _progress_text(payload)
                     continue
-                worker.proc.join(timeout=5)
                 settle(worker, "ok" if kind == "ok" else "failed",
                        payload)
                 return True
@@ -828,10 +954,18 @@ def _run_isolated(pending: List[_JobState], config: HarnessConfig,
         while pending or active:
             now = time.monotonic()
             ready = [s for s in pending if s.not_before <= now]
+            starts = []
             while ready and len(active) < max_workers:
                 state = ready.pop(0)
                 pending.remove(state)
-                launch(state)
+                worker = take_worker(state)
+                worker.state = state
+                active.append(worker)
+                starts.append(worker)
+            # Spawn first, then send: the workers import while the
+            # kernel build (awaited by the first send) runs.
+            for worker in starts:
+                launch(worker)
 
             if not active:
                 # Everything left is backing off; sleep to the nearest.
@@ -845,15 +979,11 @@ def _run_isolated(pending: List[_JobState], config: HarnessConfig,
                     continue
                 now = time.monotonic()
                 if worker.deadline is not None and now >= worker.deadline:
-                    worker.proc.kill()
-                    worker.proc.join(timeout=5)
                     settle(worker, "timeout",
                            f"killed after exceeding the "
                            f"{config.timeout}s per-job timeout")
                 elif (config.stall_timeout is not None
                       and now - worker.last_beat > config.stall_timeout):
-                    worker.proc.kill()
-                    worker.proc.join(timeout=5)
                     last = worker.state.progress or "no heartbeat seen"
                     settle(worker, "stall",
                            f"killed after {config.stall_timeout}s "
@@ -864,9 +994,9 @@ def _run_isolated(pending: List[_JobState], config: HarnessConfig,
                            f"worker died without a result "
                            f"(exit code {worker.proc.exitcode})")
     finally:
-        for worker in active:  # pragma: no cover - only on hard errors
-            worker.proc.kill()
-            worker.proc.join(timeout=5)
+        for worker in active + idle:
+            worker.retire()
+        kernel.close()
 
 
 def run_suite_resilient(

@@ -9,7 +9,7 @@ slow path.  This module re-hosts a pass on arrays: per-net words
 become a pair of ``(n_nets, n_words)`` ``uint64`` arrays (net-major
 -- see DESIGN.md section 13 for the layout rationale) and the whole
 pass loop runs in a *circuit-independent* C kernel compiled once per
-process with cffi and the system C compiler.  The circuit
+run with cffi and the system C compiler.  The circuit
 (opcode/fanin tables) and the chunk's injection sites (stem /
 fanout-branch / flip-flop-branch forcing masks) are handed over as
 dense plan arrays, so a frame costs a few microseconds with zero
@@ -645,6 +645,9 @@ _STATUS_REPACK = 2
 _KERNEL: Optional[Tuple[Any, Any]] = None
 _KERNEL_ERROR: Optional[str] = None
 _KERNEL_TRIED = False
+#: A kernel object built for this process by its harness supervisor
+#: (:func:`use_prebuilt_kernel`); None: compile one on first use.
+_PREBUILT: Optional[str] = None
 
 
 def _find_cc() -> Optional[str]:
@@ -662,7 +665,9 @@ def _kernel_cache_path() -> Optional[str]:
     restored cache directory (CI persists it across jobs) can never
     dlopen a shared object built from different source -- a source
     change simply misses the cache and recompiles.  Unset env means
-    no cache: every process compiles into its own tempdir as before.
+    no cache: a harness run builds the kernel once for all its
+    workers (:func:`_compile_kernel`), and any other process compiles
+    into a private tempdir that it removes after loading.
     """
     root = os.environ.get("REPRO_KERNEL_CACHE")
     if not root:
@@ -672,12 +677,56 @@ def _kernel_cache_path() -> Optional[str]:
     return os.path.join(root, f"repro_kernel-{digest}.so")
 
 
+def _compile_kernel(so_path: str) -> None:
+    """Build the pass kernel into ``so_path`` with the system C compiler.
+
+    Needs neither numpy nor cffi, so a harness supervisor can build
+    once for every worker of a run without importing either.  The
+    object is compiled under a process-unique name beside ``so_path``
+    and renamed into place, so concurrent builders of one path never
+    expose a half-written file.  Raises ``RuntimeError`` when no
+    compiler is found, ``OSError`` / ``subprocess.SubprocessError``
+    when the build fails.
+    """
+    cc = _find_cc()
+    if cc is None:
+        raise RuntimeError("no C compiler found (set $CC)")
+    stem = f"{so_path}.{os.getpid()}"
+    c_path, tmp_so = stem + ".c", stem + ".tmp"
+    try:
+        with open(c_path, "w") as handle:
+            handle.write(_KERNEL_SOURCE)
+        subprocess.run(
+            [cc, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
+            check=True, capture_output=True, timeout=120)
+        os.replace(tmp_so, so_path)
+    finally:
+        for path in (c_path, tmp_so):
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
+
+
+def use_prebuilt_kernel(so_path: str) -> None:
+    """Make this process's kernel load dlopen ``so_path`` (built by
+    :func:`_compile_kernel` in a harness supervisor) instead of
+    compiling.  The load stays lazy; a missing file falls back to a
+    compile, and ``$REPRO_KERNEL_CACHE`` still wins when set."""
+    global _PREBUILT
+    _PREBUILT = so_path
+
+
 def _load_kernel() -> Optional[Tuple[Any, Any]]:
-    """Compile and dlopen the pass kernel once per process.
+    """Load the pass kernel once per process.
 
     Returns ``(ffi, lib)`` or ``None`` (reason in
     :func:`kernel_unavailable_reason`).  Never raises: a missing
-    numpy, cffi or compiler just disables the fast path.
+    numpy, cffi or compiler just disables the fast path.  The first
+    existing one of ``$REPRO_KERNEL_CACHE``'s entry and the
+    supervisor's build (:func:`use_prebuilt_kernel`) is dlopened;
+    failing both, the kernel is compiled into a private tempdir, which
+    is removed once the object is mapped.
     """
     global _KERNEL, _KERNEL_ERROR, _KERNEL_TRIED
     if _KERNEL_TRIED:
@@ -691,45 +740,40 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
     except ImportError:
         _KERNEL_ERROR = "cffi is not installed"
         return None
+    ffi = FFI()
+    ffi.cdef(_KERNEL_CDEF)
     cached = _kernel_cache_path()
-    if cached is not None and os.path.exists(cached):
-        try:
-            ffi = FFI()
-            ffi.cdef(_KERNEL_CDEF)
-            lib = ffi.dlopen(cached)
-            _KERNEL = (ffi, lib)
-            return _KERNEL
-        except Exception:  # pragma: no cover - corrupt cache entry
-            pass  # fall through to a fresh compile
-    cc = _find_cc()
-    if cc is None:
+    for path in (cached, _PREBUILT):
+        if path is not None and os.path.exists(path):
+            try:
+                _KERNEL = (ffi, ffi.dlopen(path))
+                return _KERNEL
+            except OSError:  # pragma: no cover - corrupt object
+                pass  # fall through to a fresh compile
+    if _find_cc() is None:
         _KERNEL_ERROR = "no C compiler found (set $CC)"
         return None
     tmpdir = tempfile.mkdtemp(prefix="repro-np-kernel-")
-    c_path = os.path.join(tmpdir, "repro_kernel.c")
     so_path = os.path.join(tmpdir, "repro_kernel.so")
     try:
-        with open(c_path, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", so_path, c_path],
-            check=True, capture_output=True, timeout=120)
-        ffi = FFI()
-        ffi.cdef(_KERNEL_CDEF)
+        _compile_kernel(so_path)
+        # The mapping outlives the unlink in the finally (POSIX).
         lib = ffi.dlopen(so_path)
+        if cached is not None:
+            try:
+                os.makedirs(os.path.dirname(cached), exist_ok=True)
+                # Atomic publish: concurrent processes may race here,
+                # but every writer produces an identical file.
+                tmp_copy = f"{cached}.tmp-{os.getpid()}"
+                shutil.copy(so_path, tmp_copy)
+                os.replace(tmp_copy, cached)
+            except OSError:  # pragma: no cover - read-only cache dir
+                pass
     except Exception as exc:  # pragma: no cover - toolchain-specific
         _KERNEL_ERROR = f"kernel build failed: {exc}"
         return None
-    if cached is not None:
-        try:
-            os.makedirs(os.path.dirname(cached), exist_ok=True)
-            # Atomic publish: concurrent processes may race here, but
-            # every writer produces an identical file.
-            tmp_copy = f"{cached}.tmp-{os.getpid()}"
-            shutil.copy(so_path, tmp_copy)
-            os.replace(tmp_copy, cached)
-        except OSError:  # pragma: no cover - read-only cache dir
-            pass
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
     _KERNEL = (ffi, lib)
     return _KERNEL
 
