@@ -1,5 +1,5 @@
-"""Emit the ``BENCH_*.json`` benchmarks (engine, matrix, ADI, collapse,
-delay, power).
+"""Emit the ``BENCH_*.json`` benchmarks (engine, matrix, collapse, delay,
+power).
 
 Default mode runs the paper's full proposed procedure
 (:func:`repro.core.proposed.run`) twice on one synthesized circuit:
@@ -24,13 +24,6 @@ Every arm of both modes must produce byte-identical results -- the
 script asserts it and records the check in the JSON.  The emitted
 file carries circuit stats, per-arm wall clock and engine counters,
 and the speedup ratio.
-
-``--adi`` compares the Accidental-Detection-Index-guided run
-(``adi=True``, census from the random phase of combinational test
-generation) against the flag-off default.  ``BENCH_adi.json`` records
-both arms' detect passes and final clock cycles; the quality gate
-(``--gate`` with any value) requires identical final fault coverage,
-fewer total detect passes, and cycles no worse than the baseline.
 
 ``--collapse`` compares the static fault-space analyzer's collapsed
 simulation against the plain uncollapsed flow: both arms run the full
@@ -340,39 +333,6 @@ def build_engine_matrix_payload(quick: bool, seed: int = 1,
     }
 
 
-def _run_trial_arm(netlist, comb_tests, t0, engine: str,
-                   adi: bool = False, adi_scores=None) -> Dict[str, Any]:
-    """One full proposed-procedure pass, with or without ADI."""
-    circuit = CompiledCircuit(netlist, engine=engine)
-    faults = FaultSet.collapsed(netlist)
-    counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width="auto",
-                         counters=counters)
-    comb_sim = CombPatternSim(circuit, faults)
-    started = time.perf_counter()
-    result = run_proposed(sim, comb_sim, t0, comb_tests,
-                          adi=adi, adi_scores=adi_scores)
-    seconds = time.perf_counter() - started
-    final = result.compacted_set or result.test_set
-    return {
-        "engine": engine,
-        "adi": adi,
-        "seconds": round(seconds, 3),
-        "phase3_seconds": round(counters.phase3_s, 3),
-        "phase4_seconds": round(counters.phase4_s, 3),
-        "counters": counters.as_dict(),
-        "result": {
-            "seq_detected": len(result.seq_detected),
-            "final_detected": len(result.final_detected),
-            "tests": len(final),
-            "cycles": final.clock_cycles(),
-            "tau_seq_length": result.tau_seq.length,
-        },
-        "_sets": (result.seq_detected, result.final_detected,
-                  tuple(final.tests), final.clock_cycles()),
-    }
-
-
 def _profile_circuit(quick: bool, seed: int):
     """The profile circuit plus its comb set and ``T0`` stimuli."""
     profile = QUICK_PROFILE if quick else FULL_PROFILE
@@ -530,69 +490,6 @@ def build_collapse_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
             "collapsed": collapsed["counters"]["machines"],
         },
         "identical_results": identical,
-    }
-
-
-def build_adi_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
-    """The ``--adi`` payload: ADI-guided ordering vs the plain run.
-
-    The baseline arm is the flag-off default; the ADI arm feeds the
-    random-phase accidental-detection census into Phase-1/3 ordering
-    and fused-word packing.  The quality gates: identical final fault
-    coverage (hard requirement), fewer total detect passes, and final
-    clock cycles no worse than the baseline.
-    """
-    profile, netlist, faults, comb, t0 = _profile_circuit(quick, seed)
-    engine = "auto"
-
-    print(f"baseline: adi=off, engine={engine} ...", flush=True)
-    baseline = _run_trial_arm(netlist, comb.tests, t0, engine)
-    print(f"  {baseline['seconds']}s, "
-          f"{baseline['counters']['detect_passes']} detect passes, "
-          f"{baseline['result']['cycles']} cycles")
-    print(f"adi: census-guided ordering, engine={engine} ...",
-          flush=True)
-    adi_arm = _run_trial_arm(netlist, comb.tests, t0, engine, adi=True,
-                             adi_scores=comb.adi)
-    print(f"  {adi_arm['seconds']}s, "
-          f"{adi_arm['counters']['detect_passes']} detect passes, "
-          f"{adi_arm['result']['cycles']} cycles, "
-          f"{adi_arm['counters']['adi_orderings']} orderings")
-
-    base_sets = baseline.pop("_sets")
-    adi_sets = adi_arm.pop("_sets")
-    identical_coverage = base_sets[1] == adi_sets[1]
-    if not identical_coverage:
-        print("ERROR: ADI ordering changed the final fault coverage",
-              file=sys.stderr)
-    fewer_passes = (adi_arm["counters"]["detect_passes"]
-                    < baseline["counters"]["detect_passes"])
-    cycles_le = (adi_arm["result"]["cycles"]
-                 <= baseline["result"]["cycles"])
-    return {
-        "bench": "adi: accidental-detection-index ordering vs the "
-                 "plain proposed procedure",
-        "circuit": _circuit_block(profile, netlist, faults, comb, t0),
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "engine": engine,
-            "adi_census_size": len(comb.adi),
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": _numpy_version(),
-        },
-        "baseline": baseline,
-        "adi": adi_arm,
-        "detect_passes": {
-            "baseline": baseline["counters"]["detect_passes"],
-            "adi": adi_arm["counters"]["detect_passes"],
-        },
-        "cycles": {"baseline": baseline["result"]["cycles"],
-                   "adi": adi_arm["result"]["cycles"]},
-        "identical_coverage": identical_coverage,
-        "fewer_detect_passes": fewer_passes,
-        "cycles_le_baseline": cycles_le,
     }
 
 
@@ -848,9 +745,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--power", action="store_true",
                         help="sweep the X-fill strategies' power on "
                              "the quick suite instead of the engine")
-    parser.add_argument("--adi", action="store_true",
-                        help="compare ADI-guided ordering against the "
-                             "plain proposed procedure (quality gate)")
     parser.add_argument("--delay", action="store_true",
                         help="benchmark the wide-word packed "
                              "transition-fault route vs the scalar "
@@ -923,34 +817,6 @@ def main(argv: Optional[list] = None) -> int:
                 return 1
             print("collapse gate ok: fewer comb passes and machine "
                   "bits, identical results")
-        return 0
-
-    if args.adi:
-        out = args.out or "BENCH_adi.json"
-        payload = build_adi_payload(quick=args.quick, seed=args.seed)
-        atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}: detect passes "
-              f"{payload['detect_passes']['baseline']} -> "
-              f"{payload['detect_passes']['adi']}, cycles "
-              f"{payload['cycles']['baseline']} -> "
-              f"{payload['cycles']['adi']} (identical coverage: "
-              f"{payload['identical_coverage']})")
-        if not payload["identical_coverage"]:
-            return 1
-        if args.gate is not None:
-            ok = True
-            if not payload["fewer_detect_passes"]:
-                print("ADI GATE FAILED: no reduction in detect passes",
-                      file=sys.stderr)
-                ok = False
-            if not payload["cycles_le_baseline"]:
-                print("ADI GATE FAILED: final cycles exceed the "
-                      "baseline", file=sys.stderr)
-                ok = False
-            if not ok:
-                return 1
-            print("adi gate ok: fewer detect passes, cycles <= "
-                  "baseline, identical coverage")
         return 0
 
     if args.power:

@@ -16,8 +16,8 @@ fault universe before a single vector is simulated:
   dominance strictly as an ordering signal, never to shrink the
   simulated set.
 * **SCOAP measures** -- :mod:`repro.analysis.scoap` difficulty per
-  fault, the static hardness hint the phases use as a pre-ADI
-  tie-break.
+  fault, reported as a testability profile (the compaction phases
+  keep the paper's own orderings and do not consult it).
 * **Untestability proofs** -- sound static arguments that no test can
   ever detect a fault: the line is constant at the stuck value
   (unexcitable), or no fault effect can reach a primary output or
@@ -131,11 +131,6 @@ class FaultSpaceReport:
     def untestable_indices(self, faults: Iterable[Fault]) -> Set[int]:
         """Indices (into ``faults``) of proven-untestable faults."""
         return {i for i, f in enumerate(faults) if f in self.untestable}
-
-    def difficulty_map(self, faults: Iterable[Fault]) -> Dict[int, int]:
-        """Fault index -> SCOAP difficulty, for an indexed fault list."""
-        return {i: self.scoap.difficulty(f)
-                for i, f in enumerate(faults)}
 
     def dominance_counts(self) -> Dict[Fault, int]:
         """Fault -> number of faults it dominates (ordering signal: a

@@ -63,16 +63,6 @@ class Workbench:
             return 0
         return len(self.faultspace.untestable_indices(self.faults))
 
-    def scoap_difficulty(self) -> Dict[int, int]:
-        """Fault index -> SCOAP difficulty over the target set.
-
-        Empty when the workbench was built without static analysis
-        (callers treat the empty map as "no ordering hint").
-        """
-        if self.faultspace is None:
-            return {}
-        return self.faultspace.difficulty_map(self.faults)
-
     @classmethod
     def for_netlist(cls, netlist: Netlist, engine: str = "auto",
                     lint: bool = False,
@@ -160,9 +150,6 @@ def compact_tests(
     power_budget: Optional[float] = None,
     observer: Optional[PhaseObserver] = None,
     resume: Optional[Dict[str, Any]] = None,
-    adi: bool = False,
-    adi_scores: Optional[Dict[int, int]] = None,
-    scoap: bool = False,
 ) -> ProposedResult:
     """Run the paper's proposed procedure on a circuit.
 
@@ -200,29 +187,6 @@ def compact_tests(
         :func:`repro.core.proposed.run`.  When ``resume`` names a
         completed Phase 2 (or later), ``T0`` generation is skipped
         entirely -- the salvaged state already embodies it.
-    adi:
-        Enable Accidental-Detection-Index guidance: the random phase
-        of combinational test generation doubles as the ADI census
-        (arXiv:0710.4637) and its scores order Phase-1/3 choices and
-        fused-word packing.  Off (the default) keeps every output
-        byte-identical.  When this call generates the combinational
-        set itself the census comes for free; with an explicit
-        ``comb_tests=`` pass the matching ``adi_scores`` (e.g.
-        ``CombSetResult.adi``) alongside, else ADI degrades to the
-        all-zero map (orderings fall back to their plain tie-breaks).
-    adi_scores:
-        Explicit fault index -> accidental-detection count map; only
-        consulted when ``adi`` is set and overrides the census of a
-        locally generated set.
-    scoap:
-        Enable SCOAP testability guidance: the workbench's static
-        fault-space report supplies a per-fault difficulty map
-        (:meth:`Workbench.scoap_difficulty`) that breaks Phase-1 and
-        Phase-3 ordering ties toward statically-hard faults and, when
-        ADI is off, orders fused-word packing.  Off (the default)
-        keeps every output byte-identical.  Requires a workbench with
-        static analysis (the default); degrades to a no-op without
-        one.
 
     Raises
     ------
@@ -232,12 +196,8 @@ def compact_tests(
     wb = workbench or Workbench.for_netlist(netlist)
     resume_phase = int(resume["phase"]) if resume else 0
     if comb_tests is None:
-        comb_result = generate_comb_set(netlist, seed=seed,
-                                        workbench=wb,
-                                        x_fill=x_fill)
-        comb_tests = comb_result.tests
-        if adi and adi_scores is None:
-            adi_scores = comb_result.adi
+        comb_tests = generate_comb_set(netlist, seed=seed, workbench=wb,
+                                       x_fill=x_fill).tests
     if t0 is None:
         if resume_phase >= 2:
             t0 = ()
@@ -261,14 +221,11 @@ def compact_tests(
         engine = ActivityEngine(wb.circuit, wb.counters)
         merge_filter = constrain.wtm_budget_filter(engine, power_budget)
         power_key = constrain.topoff_power_key(engine, comb_tests)
-    scoap_scores = (wb.scoap_difficulty() or None) if scoap else None
     return run_proposed(wb.sim, wb.comb_sim, t0, comb_tests,
                         run_phase4=run_phase4,
                         merge_filter=merge_filter,
                         topoff_power_key=power_key,
-                        observer=observer, resume=resume,
-                        adi=adi, adi_scores=adi_scores,
-                        scoap_scores=scoap_scores)
+                        observer=observer, resume=resume)
 
 
 def baseline_static(

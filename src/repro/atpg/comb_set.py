@@ -59,20 +59,12 @@ class CombSetResult:
     aborted:
         Faults abandoned at the backtrack limit (counted as potentially
         detectable but uncovered).
-    adi:
-        Accidental Detection Index per fault (Pomeranz & Reddy,
-        arXiv:0710.4637): how many random-phase patterns detected the
-        fault while it was still undetected -- detections that happen
-        *by chance*, not by targeting.  Faults absent from the map
-        were never accidentally detected (random-resistant).  Purely
-        advisory ordering data; it does not affect the test set.
     """
 
     tests: List[CombTest]
     detected: Set[int]
     redundant: Set[int] = field(default_factory=set)
     aborted: Set[int] = field(default_factory=set)
-    adi: Dict[int, int] = field(default_factory=dict)
 
     @property
     def detectable(self) -> Set[int]:
@@ -112,7 +104,6 @@ def random_selected(
     undetected: Set[int] = set(range(len(faults)))
     tests: List[CombTest] = []
     detected: Set[int] = set()
-    adi: Dict[int, int] = {}
     stale = 0
     seen = 0
     while undetected and seen < max_patterns and stale < stale_blocks:
@@ -121,10 +112,6 @@ def random_selected(
         hits = sim.detect_block(patterns, sorted(undetected))
         new_by_pattern: Dict[int, Set[int]] = {}
         for fid, pmask in hits.items():
-            # Every random-pattern detection of a still-undetected
-            # fault is accidental -- that popcount is the fault's ADI
-            # contribution from this block.
-            adi[fid] = adi.get(fid, 0) + bin(pmask).count("1")
             first = (pmask & -pmask).bit_length() - 1
             new_by_pattern.setdefault(first, set()).add(fid)
         if not hits:
@@ -142,7 +129,7 @@ def random_selected(
             full = sim.detect_single(patterns[p], sorted(undetected))
             detected |= full
             undetected -= full
-    return CombSetResult(tests, detected, adi=adi)
+    return CombSetResult(tests, detected)
 
 
 def generate(

@@ -108,8 +108,7 @@ def _run_options(args: argparse.Namespace) -> Dict[str, Any]:
     """The run options shared by ``circuit`` and ``tables`` (the
     :class:`~repro.experiments.runner.JobSpec` fields they expose)."""
     return {"delay": args.delay, "engine": args.engine,
-            "x_fill": args.x_fill, "power_budget": args.power_budget,
-            "adi": args.adi, "scoap": args.scoap}
+            "x_fill": args.x_fill, "power_budget": args.power_budget}
 
 
 def _harness_config(args: argparse.Namespace) -> HarnessConfig:
@@ -496,20 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "generated per-circuit code otherwise) or "
                              "the table-driven reference interpreter "
                              "(interp); results are identical")
-    egroup.add_argument("--adi", action="store_true",
-                        help="order work by the Accidental Detection "
-                             "Index (arXiv:0710.4637): fused-word "
-                             "packing, Phase-1 tie-breaks and Phase-3 "
-                             "target order follow the random-phase "
-                             "accidental-detection census (default: "
-                             "off, the byte-exact paper reproduction)")
-    egroup.add_argument("--scoap", action="store_true",
-                        help="break Phase-1/Phase-3 ordering ties by "
-                             "SCOAP testability: statically-hard "
-                             "faults (high controllability + "
-                             "observability cost) are targeted first "
-                             "(default: off, the byte-exact paper "
-                             "reproduction)")
     egroup.add_argument("--sanitize", action="store_true",
                         help="arm the engine-invariant sanitizer "
                              "(exports REPRO_SANITIZE=1; worker "

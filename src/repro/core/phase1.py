@@ -30,7 +30,7 @@ retires faults into the shared scoreboard only once the surviving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..atpg.comb_set import CombTest
 from ..sim import values as V
@@ -85,8 +85,6 @@ def select_scan_in(
     f0: Set[int],
     selected: Sequence[bool],
     target: Optional[Set[int]] = None,
-    adi: Optional[Dict[int, int]] = None,
-    scoap: Optional[Dict[int, int]] = None,
 ) -> Tuple[int, Set[int]]:
     """Step 2: choose the scan-in state maximizing detection.
 
@@ -112,24 +110,6 @@ def select_scan_in(
         Per-test *selected* flags (Section 3.3 bookkeeping).
     target:
         The full target fault index set; defaults to all faults.
-    adi:
-        Optional fault index -> Accidental Detection Index map (see
-        :meth:`~repro.sim.scoreboard.FaultScoreboard.record_adi`).
-        When given, the argmax prefers -- among candidates with equal
-        detection *count* -- the one detecting more never-accidentally-
-        detected (ADI zero, i.e. random-resistant) faults, before the
-        paper's unselected-preferred tie-break.  ``None`` (the
-        default) keeps the paper's selection byte-identical.
-    scoap:
-        Optional fault index -> SCOAP difficulty map (see
-        :meth:`~repro.analysis.scoap.ScoapMeasures.difficulty`).  When
-        given, candidates with equal weighted count prefer the larger
-        summed difficulty over their detections -- the static pre-ADI
-        tie-break: claim the statically-hard faults while a candidate
-        for them exists.  Ranks ahead of the ADI hard-count in the
-        tie-break chain (the static signal exists before any random-
-        phase census does; ADI then refines among SCOAP ties).
-        ``None`` (the default) keeps the selection byte-identical.
 
     Returns
     -------
@@ -164,38 +144,12 @@ def select_scan_in(
         slot_of.append(slot)
     per_slot = sim.detect_candidates(list(t0), unique_states,
                                      target=remaining, scan_out=True)
-    if adi is None:
-        hard_of_slot = [0] * len(per_slot)
-    else:
-        # Hard-fault score per candidate: detections whose ADI is zero
-        # (never accidentally caught in the random phase).  A hard
-        # detection is worth double in the argmax -- such faults have
-        # the fewest alternative detections, so claiming them here
-        # spares Phase 3 a dedicated top-off test.  ``hard_of_slot``
-        # stays all-zero without ADI, keeping adi=None byte-identical.
-        hard_of_slot = [sum(1 for f in dets if adi.get(f, 0) == 0)
-                        for dets in per_slot]
-        sim.counters.adi_orderings += 1
-    if scoap is None:
-        scoap_of_slot = [0] * len(per_slot)
-    else:
-        # Static difficulty score per candidate: the summed SCOAP
-        # difficulty of its detections.  A pure tie-break (never
-        # weighted into the count), so ``scoap=None`` stays
-        # byte-identical; all-zero maps degrade to the same.
-        scoap_of_slot = [sum(scoap.get(f, 0) for f in dets)
-                         for dets in per_slot]
-        sim.counters.scoap_orderings += 1
     best_index = -1
-    best_key = (-1, -1, -1, False)
+    best_key = (-1, False)
     for j in range(len(comb_tests)):
-        slot = slot_of[j]
-        # Maximize the weighted count (plain count without ADI); among
-        # equals prefer static difficulty, then hard-fault coverage,
-        # then unselected tests.  Strict > keeps the paper's
-        # first-wins tie behavior.
-        key = (len(per_slot[slot]) + hard_of_slot[slot],
-               scoap_of_slot[slot], hard_of_slot[slot], not selected[j])
+        # Maximize the detection count; among equals prefer unselected
+        # tests.  Strict > keeps the paper's first-wins tie behavior.
+        key = (len(per_slot[slot_of[j]]), not selected[j])
         if key > best_key:
             best_index, best_key = j, key
     return best_index, per_slot[slot_of[best_index]] | f0
@@ -255,24 +209,19 @@ def run_phase1(
     target: Optional[Set[int]] = None,
     f0: Optional[Set[int]] = None,
     scan_out_rule: str = "earliest",
-    adi: Optional[Dict[int, int]] = None,
-    scoap: Optional[Dict[int, int]] = None,
 ) -> Phase1Result:
     """Run Steps 1-3 and assemble a :class:`Phase1Result`.
 
     ``f0`` may be supplied when the caller has already simulated the
     no-scan detections (the iteration loop reuses them).
     ``scan_out_rule`` selects the paper's ``i0`` ("earliest") or
-    ``i1`` ("max_coverage") Step-3 variant.  ``adi`` threads an
-    Accidental-Detection-Index map and ``scoap`` a static-difficulty
-    map into the Step-2 tie-break (see :func:`select_scan_in`).
+    ``i1`` ("max_coverage") Step-3 variant.
     """
     if target is None:
         target = set(range(len(sim.faults)))
     if f0 is None:
         f0 = detect_no_scan(sim, t0, sorted(target))
-    index, f_si = select_scan_in(sim, t0, comb_tests, f0, selected,
-                                 target, adi=adi, scoap=scoap)
+    index, f_si = select_scan_in(sim, t0, comb_tests, f0, selected, target)
     scan_in = comb_tests[index].state
     u_so, f_so = select_scan_out(sim, scan_in, t0, f_si, target,
                                  rule=scan_out_rule)

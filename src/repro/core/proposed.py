@@ -119,9 +119,6 @@ def run(
     topoff_power_key: Optional[Callable[[int], float]] = None,
     observer: Optional[PhaseObserver] = None,
     resume: Optional[Dict[str, Any]] = None,
-    adi: bool = False,
-    adi_scores: Optional[Dict[int, int]] = None,
-    scoap_scores: Optional[Dict[int, int]] = None,
 ) -> ProposedResult:
     """Run the proposed procedure end to end.
 
@@ -181,30 +178,6 @@ def run(
         the remaining phases produce byte-identical results without
         re-simulating.  With ``resume``, ``t0`` may be empty (its
         length is taken from the saved state).
-    adi:
-        Enable Accidental-Detection-Index guidance (Pomeranz & Reddy,
-        arXiv:0710.4637): ``adi_scores`` are recorded on the
-        scoreboard and used to (a) order fused-word fault packing,
-        (b) tie-break the Phase-1 scan-in argmax toward candidates
-        detecting more random-resistant faults, and (c) order Phase-3
-        top-off targets.  Off (the default) keeps every result
-        byte-identical to the paper reproduction; on, only orderings
-        within the paper's freedom change.
-    adi_scores:
-        Fault index -> accidental-detection count, typically
-        ``CombSetResult.adi`` from the random phase of combinational
-        test generation.  Ignored unless ``adi`` is set.
-    scoap_scores:
-        Optional fault index -> SCOAP difficulty map (from
-        :meth:`~repro.analysis.faultspace.FaultSpaceReport.
-        difficulty_map`).  When given, the static difficulty becomes
-        the pre-ADI tie-break in the Phase-1 scan-in argmax and the
-        Phase-3 top-off order, and -- when ADI is off -- orders
-        fused-word packing by *ascending* difficulty so the easy
-        faults share words that saturate early.  ``None`` (the
-        default) keeps every result byte-identical to the paper
-        reproduction; set, only orderings within the paper's freedom
-        change.
 
     Raises
     ------
@@ -224,172 +197,151 @@ def run(
         scoreboard = FaultScoreboard(len(sim.faults),
                                      counters=sim.counters)
 
-    if adi and adi_scores:
-        scoreboard.record_adi(adi_scores)
-    adi_map: Optional[Dict[int, int]] = dict(scoreboard.adi) if adi else None
     timers = sim.counters
     t0_length = len(t0)
 
-    # ADI packing order is simulator state; reset it on every exit so a
-    # simulator shared across runs (bench arms, harness retries) never
-    # leaks one run's ordering into the next.  Without ADI, SCOAP
-    # difficulty orders the packing instead (negated: the packer groups
-    # by descending score, and low difficulty = accidentally-easy =
-    # saturates early, mirroring high ADI).
-    pack_order = adi_map
-    if pack_order is None and scoap_scores:
-        pack_order = {f: -d for f, d in scoap_scores.items()}
-    sim.set_adi_order(pack_order)
-    try:
+    if resume_phase >= 2:
+        assert resume is not None
+        tau = resume["tau"]
+        tau_detected = set(resume["tau_detected"])
+        t0_detected = set(resume["t0_detected"])
+        t0_length = resume["t0_length"]
+        logs = list(resume["iterations"])
+        scoreboard.restore(resume["retired"])
+    else:
+        if observer is not None:
+            observer.enter("phase1")
+        selected = [False] * len(comb_tests)
+        current: List[V.Vector] = [tuple(v) for v in t0]
+        with timers.phase_timer("phase1"):
+            t0_detected = detect_no_scan(sim, current, sorted(target))
+        f0 = set(t0_detected)
+        tau = None
+        tau_detected = set()
+        logs = []
 
-        if resume_phase >= 2:
-            assert resume is not None
-            tau = resume["tau"]
-            tau_detected = set(resume["tau_detected"])
-            t0_detected = set(resume["t0_detected"])
-            t0_length = resume["t0_length"]
-            logs = list(resume["iterations"])
-            scoreboard.restore(resume["retired"])
-        else:
-            if observer is not None:
-                observer.enter("phase1")
-            selected = [False] * len(comb_tests)
-            current: List[V.Vector] = [tuple(v) for v in t0]
+        entered_phase2 = False
+        for _ in range(max(1, max_iterations)):
             with timers.phase_timer("phase1"):
-                t0_detected = detect_no_scan(sim, current, sorted(target))
-            f0 = set(t0_detected)
-            tau = None
-            tau_detected = set()
-            logs = []
-
-            entered_phase2 = False
-            for _ in range(max(1, max_iterations)):
-                with timers.phase_timer("phase1"):
-                    phase1 = run_phase1(sim, current, comb_tests, selected,
-                                        target=target, f0=f0,
-                                        scan_out_rule=scan_out_rule,
-                                        adi=adi_map,
-                                        scoap=scoap_scores)
-                candidate = ScanTest(phase1.scan_in, phase1.vectors)
-                if observer is not None and not entered_phase2:
-                    entered_phase2 = True
-                    observer.enter("phase2")
-                with timers.phase_timer("phase2"):
-                    omission = omit_vectors(sim, candidate, phase1.f_so,
-                                            passes=omission_passes)
-                logs.append(IterationLog(
-                    scan_in_index=phase1.chosen_index,
-                    u_so=phase1.u_so,
-                    length_before=len(current),
-                    length_after=omission.test.length,
-                    detected_before=len(phase1.f_so),
-                    detected_after=len(omission.detected),
-                ))
-                tau = omission.test
-                tau_detected = omission.detected
-                if phase1.chose_selected:
-                    break
-                selected[phase1.chosen_index] = True
-                current = list(tau.vectors)
-                # Next iteration's Step 1 runs on the new sequence.
-                with timers.phase_timer("phase1"):
-                    f0 = detect_no_scan(sim, current, sorted(target))
-
-            assert tau is not None
-            # tau_seq is committed now: retire its known detections (from
-            # the omission pass over F_SO) so the full-target pass below
-            # carries only the still-unknown faults in its injection word.
-            scoreboard.retire(tau_detected & target)
-            if observer is not None:
-                observer.completed("phase2", {
-                    "tau": tau,
-                    "tau_detected": set(tau_detected),
-                    "t0_detected": set(t0_detected),
-                    "t0_length": t0_length,
-                    "iterations": list(logs),
-                    "retired": scoreboard.retired_snapshot(),
-                })
+                phase1 = run_phase1(sim, current, comb_tests, selected,
+                                    target=target, f0=f0,
+                                    scan_out_rule=scan_out_rule)
+            candidate = ScanTest(phase1.scan_in, phase1.vectors)
+            if observer is not None and not entered_phase2:
+                entered_phase2 = True
+                observer.enter("phase2")
+            with timers.phase_timer("phase2"):
+                omission = omit_vectors(sim, candidate, phase1.f_so,
+                                        passes=omission_passes)
+            logs.append(IterationLog(
+                scan_in_index=phase1.chosen_index,
+                u_so=phase1.u_so,
+                length_before=len(current),
+                length_after=omission.test.length,
+                detected_before=len(phase1.f_so),
+                detected_after=len(omission.detected),
+            ))
+            tau = omission.test
+            tau_detected = omission.detected
+            if phase1.chose_selected:
+                break
+            selected[phase1.chosen_index] = True
+            current = list(tau.vectors)
+            # Next iteration's Step 1 runs on the new sequence.
+            with timers.phase_timer("phase1"):
+                f0 = detect_no_scan(sim, current, sorted(target))
 
         assert tau is not None
-        if resume_phase >= 3:
-            assert resume is not None
-            test_set = resume["test_set"]
-            seq_detected = set(resume["seq_detected"])
-            final_detected = set(resume["final_detected"])
-            added_tests = resume["added_tests"]
-            uncovered = set(resume["uncovered"])
-        else:
-            if observer is not None:
-                observer.enter("phase3")
-            with timers.phase_timer("phase3"):
-                # Full detection set of tau_seq over the target faults.
-                seq_detected = scoreboard.retired_within(target)
-                seq_detected |= sim.detect(list(tau.vectors), tau.scan_in,
-                                           target=scoreboard.active(target),
-                                           early_exit=False,
-                                           retire_to=scoreboard)
+        # tau_seq is committed now: retire its known detections (from
+        # the omission pass over F_SO) so the full-target pass below
+        # carries only the still-unknown faults in its injection word.
+        scoreboard.retire(tau_detected & target)
+        if observer is not None:
+            observer.completed("phase2", {
+                "tau": tau,
+                "tau_detected": set(tau_detected),
+                "t0_detected": set(t0_detected),
+                "t0_length": t0_length,
+                "iterations": list(logs),
+                "retired": scoreboard.retired_snapshot(),
+            })
 
-                undetected = target - seq_detected
-                topoff = top_off(comb_sim, comb_tests, undetected,
-                                 retire_to=scoreboard,
-                                 power_key=topoff_power_key,
-                                 adi=adi_map,
-                                 counters=sim.counters,
-                                 scoap=scoap_scores)
-            n_sv = sim.n_state_vars
-            test_set = ScanTestSet(n_sv, [tau] + list(topoff.tests))
-            final_detected = seq_detected | topoff.covered
-            added_tests = len(topoff.tests)
-            uncovered = topoff.uncovered
-            if observer is not None:
-                observer.completed("phase3", {
-                    "tau": tau,
-                    "tau_detected": set(tau_detected),
-                    "t0_detected": set(t0_detected),
-                    "t0_length": t0_length,
-                    "iterations": list(logs),
-                    "retired": scoreboard.retired_snapshot(),
-                    "test_set": test_set,
-                    "seq_detected": set(seq_detected),
-                    "final_detected": set(final_detected),
-                    "added_tests": added_tests,
-                    "uncovered": set(uncovered),
-                })
+    assert tau is not None
+    if resume_phase >= 3:
+        assert resume is not None
+        test_set = resume["test_set"]
+        seq_detected = set(resume["seq_detected"])
+        final_detected = set(resume["final_detected"])
+        added_tests = resume["added_tests"]
+        uncovered = set(resume["uncovered"])
+    else:
+        if observer is not None:
+            observer.enter("phase3")
+        with timers.phase_timer("phase3"):
+            # Full detection set of tau_seq over the target faults.
+            seq_detected = scoreboard.retired_within(target)
+            seq_detected |= sim.detect(list(tau.vectors), tau.scan_in,
+                                       target=scoreboard.active(target),
+                                       early_exit=False,
+                                       retire_to=scoreboard)
 
-        compacted = None
-        combine_stats = None
-        if run_phase4:
-            if observer is not None:
-                observer.enter("phase4")
-            # Phase 4 needs exact per-test detection sets; the only sound
-            # cross-phase saving is seeding tau_seq's set, which Phase 1+2
-            # already computed over the full target.
-            with timers.phase_timer("phase4"):
-                outcome = static_compact(sim, test_set, target=target,
-                                         known_detections={tau: seq_detected},
-                                         retire_to=scoreboard,
-                                         merge_filter=merge_filter)
-            compacted = outcome.test_set
-            combine_stats = outcome.stats
+            undetected = target - seq_detected
+            topoff = top_off(comb_sim, comb_tests, undetected,
+                             retire_to=scoreboard,
+                             power_key=topoff_power_key,
+                             counters=sim.counters)
+        n_sv = sim.n_state_vars
+        test_set = ScanTestSet(n_sv, [tau] + list(topoff.tests))
+        final_detected = seq_detected | topoff.covered
+        added_tests = len(topoff.tests)
+        uncovered = topoff.uncovered
+        if observer is not None:
+            observer.completed("phase3", {
+                "tau": tau,
+                "tau_detected": set(tau_detected),
+                "t0_detected": set(t0_detected),
+                "t0_length": t0_length,
+                "iterations": list(logs),
+                "retired": scoreboard.retired_snapshot(),
+                "test_set": test_set,
+                "seq_detected": set(seq_detected),
+                "final_detected": set(final_detected),
+                "added_tests": added_tests,
+                "uncovered": set(uncovered),
+            })
 
-        if sanitizer.enabled():
-            # Soundness of cross-phase dropping: everything the scoreboard
-            # retired over this run must be in the final detected set.
-            sanitizer.check_retired_subset(scoreboard.retired_within(target),
-                                           final_detected, "proposed.run")
+    compacted = None
+    combine_stats = None
+    if run_phase4:
+        if observer is not None:
+            observer.enter("phase4")
+        # Phase 4 needs exact per-test detection sets; the only sound
+        # cross-phase saving is seeding tau_seq's set, which Phase 1+2
+        # already computed over the full target.
+        with timers.phase_timer("phase4"):
+            outcome = static_compact(sim, test_set, target=target,
+                                     known_detections={tau: seq_detected},
+                                     retire_to=scoreboard,
+                                     merge_filter=merge_filter)
+        compacted = outcome.test_set
+        combine_stats = outcome.stats
 
-        return ProposedResult(
-            tau_seq=tau,
-            test_set=test_set,
-            compacted_set=compacted,
-            t0_length=t0_length,
-            t0_detected=t0_detected,
-            seq_detected=seq_detected,
-            final_detected=final_detected,
-            added_tests=added_tests,
-            uncovered=uncovered,
-            iterations=logs,
-            combine_stats=combine_stats,
-        )
-    finally:
-        sim.set_adi_order(None)
+    if sanitizer.enabled():
+        # Soundness of cross-phase dropping: everything the scoreboard
+        # retired over this run must be in the final detected set.
+        sanitizer.check_retired_subset(scoreboard.retired_within(target),
+                                       final_detected, "proposed.run")
+
+    return ProposedResult(
+        tau_seq=tau,
+        test_set=test_set,
+        compacted_set=compacted,
+        t0_length=t0_length,
+        t0_detected=t0_detected,
+        seq_detected=seq_detected,
+        final_detected=final_detected,
+        added_tests=added_tests,
+        uncovered=uncovered,
+        iterations=logs,
+        combine_stats=combine_stats,
+    )

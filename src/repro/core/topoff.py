@@ -57,9 +57,7 @@ def top_off(
     undetected: Set[int],
     retire_to=None,
     power_key: Optional[Callable[[int], float]] = None,
-    adi: Optional[Dict[int, int]] = None,
     counters: Optional[SimCounters] = None,
-    scoap: Optional[Dict[int, int]] = None,
 ) -> TopOffResult:
     """Select single-vector tests covering ``undetected`` faults.
 
@@ -83,21 +81,6 @@ def top_off(
     detection is independent, so ``detects``/``n(f)``/``last(f)`` --
     and hence the selection -- equal those of one ``detect_single``
     call per test.
-
-    ``adi`` (fault index -> Accidental Detection Index, see
-    :meth:`~repro.sim.scoreboard.FaultScoreboard.record_adi`) inserts
-    a tie-break *between* ``min n(f)`` and the power key: among
-    equally-covered faults the least-accidentally-detected (most
-    random-resistant) one is targeted first, on the ADI rationale that
-    such faults have the fewest alternative detections and should
-    claim their test before easier rivals.  ``None`` keeps the
-    paper's rule untouched.
-
-    ``scoap`` (fault index -> SCOAP difficulty, see
-    :meth:`~repro.analysis.scoap.ScoapMeasures.difficulty`) inserts
-    the *static* hardness tie-break directly after ``min n(f)`` and
-    ahead of ADI: among equally-covered faults the statically-hardest
-    is targeted first.  ``None`` keeps the paper's rule untouched.
     """
     remaining = set(undetected)
     if not remaining:
@@ -133,31 +116,18 @@ def top_off(
 
     uncovered = remaining - set(n_of)
     remaining -= uncovered
-    if adi is not None and remaining and counters is not None:
-        counters.adi_orderings += 1
-    if scoap is not None and remaining and counters is not None:
-        counters.scoap_orderings += 1
     chosen: List[int] = []
     tests: List[ScanTest] = []
     covered: Set[int] = set()
-    adi_of: Callable[[int], int] = (lambda f: 0) if adi is None else \
-        (lambda f: adi.get(f, 0))  # type: ignore[union-attr]
-    # Negated so min() prefers the statically-hardest fault; all-zero
-    # without a map, keeping scoap=None byte-identical.
-    scoap_of: Callable[[int], int] = (lambda f: 0) if scoap is None \
-        else (lambda f: -scoap.get(f, 0))  # type: ignore[union-attr]
     while remaining:
         # The fault hardest to cover (fewest detecting tests) first;
-        # ties broken deterministically by fault index (with optional
-        # SCOAP, ADI and power tie-breaks in between).
+        # ties broken deterministically by fault index (with the
+        # optional power tie-break in between).
         if power_key is None:
-            fault = min(remaining,
-                        key=lambda f: (n_of[f], scoap_of(f), adi_of(f),
-                                       f))
+            fault = min(remaining, key=lambda f: (n_of[f], f))
         else:
             fault = min(remaining,
-                        key=lambda f: (n_of[f], scoap_of(f), adi_of(f),
-                                       power_key(last_of[f]), f))
+                        key=lambda f: (n_of[f], power_key(last_of[f]), f))
         j = last_of[fault]
         chosen.append(j)
         test = comb_tests[j]

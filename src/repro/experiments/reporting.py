@@ -298,15 +298,15 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
     (``p1_s`` .. ``p4_s``), the power engine's words and wall clock
     (``pw_words`` / ``pw_s``), the transition-fault engine's passes,
     words and wall clock (``tdf_passes`` / ``tdf_words`` / ``tdf_s``),
-    the C pass kernel's pass count (``np``), and the trial-batch trio
-    (``trials`` lane-batched trial passes, ``lanes`` trials carried,
-    ``adi`` ADI ordering decisions) -- plus the engine knob the run
-    executed under (``eng``, from :attr:`CircuitRun.knobs`).
+    the C pass kernel's pass count (``np``), and the trial-batch pair
+    (``trials`` lane-batched trial passes, ``lanes`` trials carried)
+    -- plus the engine knob the run executed under (``eng``, from
+    :attr:`CircuitRun.knobs`).
     """
     table = Table("Engine counters",
                   ["circuit", "eng", "frames", "words", "mach/word",
                    "dropped", "repacks", "np", "trials", "lanes",
-                   "adi", "p1_s", "p2_s", "p3_s", "p4_s", "pw_words",
+                   "p1_s", "p2_s", "p3_s", "p4_s", "pw_words",
                    "pw_s", "tdf_passes", "tdf_words", "tdf_s",
                    "seconds"])
     for run in runs:
@@ -316,7 +316,6 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
                       c.get("faults_dropped"), c.get("repacks"),
                       c.get("np_passes"),
                       c.get("trial_passes"), c.get("trial_lanes"),
-                      c.get("adi_orderings"),
                       c.get("phase1_s"), c.get("phase2_s"),
                       c.get("phase3_s"), c.get("phase4_s"),
                       c.get("power_words"), c.get("power_s"),

@@ -68,7 +68,7 @@ class CircuitRun:
     #: :class:`repro.delay.clocking.DelayReport`.
     delay: Optional[DelayReport] = None
     #: The knobs this run was produced under (engine, x_fill,
-    #: power_budget, adi, scoap, delay).  The harness compares the
+    #: power_budget, delay).  The harness compares the
     #: :data:`RESULT_KNOBS` among them against a resumed job's spec so
     #: a checkpoint written under different knobs is recomputed, not
     #: reused.
@@ -110,17 +110,26 @@ class CircuitRun:
 #: ``engine`` is absent because every engine produces identical
 #: results; ``delay`` only adds a measurement, so the checkpoint rule
 #: checks for the report instead.
-RESULT_KNOBS = ("x_fill", "power_budget", "adi", "scoap")
+RESULT_KNOBS = ("x_fill", "power_budget")
+
+#: Result knobs that earlier versions offered and this one does not,
+#: each with the only value this version reproduces (the knob off).
+#: Stored work recorded under any other value came from code that is
+#: gone, so it serves no request; records without the key are fine.
+RETIRED_KNOBS = {"adi": False, "scoap": False}
 
 
 def same_result_knobs(recorded: Mapping[str, Any],
                       requested: Mapping[str, Any]) -> bool:
     """True iff both mappings hold every :data:`RESULT_KNOBS` entry
-    with equal values.  A missing key fails: a record that does not
-    say how it was produced cannot stand in for a run."""
+    with equal values and ``recorded`` holds no :data:`RETIRED_KNOBS`
+    entry at another value.  A missing result knob fails: a record
+    that does not say how it was produced cannot stand in for a run."""
     return all(name in recorded and name in requested
                and recorded[name] == requested[name]
-               for name in RESULT_KNOBS)
+               for name in RESULT_KNOBS) and \
+        all(recorded.get(name, off) == off
+            for name, off in RETIRED_KNOBS.items())
 
 
 @dataclass(frozen=True)
@@ -143,8 +152,6 @@ class JobSpec:
     engine: str = "auto"
     x_fill: str = "random"
     power_budget: Optional[float] = None
-    adi: bool = False
-    scoap: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arms", tuple(self.arms))
@@ -175,8 +182,6 @@ def run_circuit(
     engine: str = "auto",
     x_fill: str = "random",
     power_budget: Optional[float] = None,
-    adi: bool = False,
-    scoap: bool = False,
     hooks: Optional[Any] = None,
 ) -> CircuitRun:
     """Run every experiment on one circuit.
@@ -207,16 +212,6 @@ def run_circuit(
         :func:`repro.api.baseline_static`.  The power of every final
         test set is measured regardless (it is cheap) and recorded in
         :attr:`CircuitRun.power`.
-    adi:
-        Accidental-Detection-Index ordering switch, forwarded to
-        :func:`repro.api.compact_tests` (with the comb-set ADI
-        census).  Off keeps the run byte-identical to prior
-        versions.
-    scoap:
-        SCOAP testability-ordering switch, forwarded to
-        :func:`repro.api.compact_tests`: the static difficulty map
-        breaks Phase-1/Phase-3 ordering ties toward hard faults.  Off
-        (the default) keeps the run byte-identical.
     hooks:
         Optional :class:`repro.experiments.supervision.WorkerHooks`:
         heartbeat updates, phase-boundary salvage flushes, and -- on a
@@ -262,9 +257,7 @@ def run_circuit(
             netlist, seed=seed, t0_source=source, t0_length=length,
             comb_tests=comb.tests, workbench=wb,
             x_fill=x_fill, power_budget=power_budget,
-            observer=observer, resume=resume, adi=adi,
-            adi_scores=comb.adi if adi else None,
-            scoap=scoap)
+            observer=observer, resume=resume)
         arm_result = ArmResult(
             t0_source=source, t0_length=length, result=result,
             seconds=time.time() - t0_started)
@@ -322,8 +315,6 @@ def run_circuit(
             "engine": engine,
             "x_fill": x_fill,
             "power_budget": power_budget,
-            "adi": adi,
-            "scoap": scoap,
             "delay": delay,
         },
         n_untestable=wb.n_untestable,

@@ -70,11 +70,7 @@ Trial-batch counters
 :meth:`~repro.sim.fault_sim.FaultSimulator.detect_trials` call and
 one per Phase-3 top-off candidate block), ``trial_lanes`` the trials
 those passes carried -- ``trial_lanes / trial_passes`` is the
-effective trial-batching density.  ``adi_orderings`` counts the
-Accidental-Detection-Index ordering decisions applied (fused-word
-packing, Phase-3 target order, Phase-1 candidate scoring); it stays
-zero unless the ``--adi`` knob is on (or ``--scoap``, which reuses
-the packing-order hook when ADI is off).
+effective trial-batching density.
 
 Transition-fault counters
 -------------------------
@@ -98,9 +94,7 @@ with or without collapsing.  ``untestable_dropped`` counts faults
 excluded from simulation because the static analyzer *proved* them
 untestable (bumped once per
 :meth:`~repro.sim.fault_sim.FaultSimulator.set_untestable`
-installation, not per pass).  ``scoap_orderings`` counts SCOAP
-difficulty-ordering decisions applied (Phase-1 candidate scoring,
-Phase-3 top-off order); zero unless the ``--scoap`` knob is on.
+installation, not per pass).
 """
 
 from __future__ import annotations
@@ -141,10 +135,8 @@ class SimCounters:
     np_passes: int = 0
     trial_passes: int = 0
     trial_lanes: int = 0
-    adi_orderings: int = 0
     comb_passes: int = 0
     untestable_dropped: int = 0
-    scoap_orderings: int = 0
 
     # ------------------------------------------------------------------
     def note_words(self, n_words: int, n_machines: int) -> None:
@@ -229,12 +221,3 @@ class SimCounters:
                 else value
         out["machines_per_word"] = round(self.machines_per_word, 2)
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "SimCounters":
-        """Inverse of :meth:`as_dict` (derived keys ignored; timer
-        fields keep their float type, counters coerce to int)."""
-        converters = {f.name: (float if isinstance(f.default, float)
-                               else int) for f in fields(cls)}
-        return cls(**{k: conv(data[k]) for k, conv in converters.items()
-                      if k in data})

@@ -333,10 +333,6 @@ class FaultSimulator:
         self._ff_pos = {name: i for i, name in enumerate(net.flip_flops)}
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
         self._sanitize_shadow = False
-        #: Optional fault-ordering hint for multi-chunk packing (set
-        #: via :meth:`set_adi_order`); ``None`` keeps the default
-        #: sorted-by-index grouping.
-        self._adi_order: Optional[Dict[int, int]] = None
         #: Representative indices of proven-untestable classes (set
         #: via :meth:`set_untestable`); excluded from every pass.
         self._untestable: frozenset = frozenset()
@@ -365,23 +361,6 @@ class FaultSimulator:
         if self._force_bigint:
             return None
         return self.circuit.array_backend
-
-    # ------------------------------------------------------------------
-    def set_adi_order(self, scores: Optional[Dict[int, int]]) -> None:
-        """Install (or clear) an Accidental-Detection-Index packing
-        order.
-
-        When set, multi-chunk packings group faults by *descending*
-        ADI instead of by index, so the frequently-accidentally-
-        detected (easy) faults share words and saturate those words
-        early, while the hard low-ADI faults concentrate in the last
-        words.  This is a pure acceleration: per-machine logic values
-        are independent of packing, so detection sets are unchanged
-        (the equivalence suite enforces it); only word/frame counters
-        move.  Pass ``None`` to restore the default order -- callers
-        that share a simulator across runs must clear it when done.
-        """
-        self._adi_order = scores
 
     # ------------------------------------------------------------------
     def set_untestable(self, indices: Optional[Sequence[int]]) -> None:
@@ -457,22 +436,12 @@ class FaultSimulator:
         # filling chunks to `per` and leaving a short remainder: sizes
         # end up within one machine of each other.
         n_chunks = max(1, -(-len(ordered) // per)) if ordered else 0
-        adi = self._adi_order
-        if adi is not None and n_chunks > 1:
-            # ADI packing: group easy (high-ADI) faults together so
-            # their words saturate and break early, and concentrate
-            # the hard faults in the trailing words.  A single-chunk
-            # packing is order-invariant, so the reorder only fires
-            # (and only counts) when it can matter.
-            order = adi
-            ordered.sort(key=lambda fid: (-order.get(fid, 0), fid))
-            self.counters.adi_orderings += 1
         groups: List[List[int]] = []
         start = 0
         for k in range(n_chunks):
             size = len(ordered) // n_chunks + \
                 (1 if k < len(ordered) % n_chunks else 0)
-            groups.append(sorted(ordered[start:start + size]))
+            groups.append(ordered[start:start + size])
             start += size
         for group in groups:
             chunk = _Chunk(indices=group, mask=(1 << (len(group) + 1)) - 1)
@@ -887,20 +856,13 @@ class FaultSimulator:
         groups_per_word = self._lane_groups_per_word(n_lanes)
         n_chunks = max(1, -(-len(ordered) // groups_per_word)) \
             if ordered else 0
-        adi = self._adi_order
-        if adi is not None and n_chunks > 1:
-            # Same ADI packing as _build_chunks: high-ADI lane blocks
-            # share words so those words saturate early.
-            order = adi
-            ordered.sort(key=lambda fid: (-order.get(fid, 0), fid))
-            self.counters.adi_orderings += 1
         lane_mask = (1 << n_lanes) - 1
         chunks: List[_LaneChunk] = []
         start = 0
         for k in range(n_chunks):
             size = len(ordered) // n_chunks + \
                 (1 if k < len(ordered) % n_chunks else 0)
-            group = sorted(ordered[start:start + size])
+            group = ordered[start:start + size]
             start += size
             chunk = _LaneChunk(indices=group, n_lanes=n_lanes,
                                mask=(1 << (len(group) * n_lanes)) - 1)

@@ -28,7 +28,7 @@ what they commit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..analysis import sanitizer
 from .counters import SimCounters
@@ -53,13 +53,6 @@ class FaultScoreboard:
         self.counters = counters
         self.enabled = enabled
         self._retired: Set[int] = set()
-        #: Accidental Detection Index per fault (Pomeranz & Reddy,
-        #: arXiv:0710.4637): how many random-phase patterns detected
-        #: the fault *by chance* while it was still undetected.  A low
-        #: count marks a random-resistant (hard) fault.  Empty until
-        #: :meth:`record_adi`; purely advisory -- consumers may only
-        #: use it to *order* work, never to change results.
-        self.adi: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def retire(self, fault_ids: Iterable[int]) -> int:
@@ -105,29 +98,6 @@ class FaultScoreboard:
     def retired_snapshot(self) -> Set[int]:
         """An independent copy of the full ledger, for serialization."""
         return set(self._retired)
-
-    # ------------------------------------------------------------------
-    def record_adi(self, scores: Mapping[int, int]) -> None:
-        """Persist per-fault accidental-detection counts.
-
-        ``scores`` maps fault index to the number of random-phase
-        patterns that detected it by chance (see :attr:`adi`).  Faults
-        absent from the mapping keep an implicit ADI of zero --
-        exactly the random-resistant faults the ordering heuristics
-        want first.  Repeated calls accumulate, so a resumed run may
-        re-record without double bookkeeping concerns (the counts stay
-        advisory either way).
-        """
-        for fid, count in scores.items():
-            if not 0 <= fid < self.n_faults:
-                raise ValueError(f"fault index {fid} out of range")
-            if count < 0:
-                raise ValueError(f"negative ADI count for fault {fid}")
-            self.adi[fid] = self.adi.get(fid, 0) + count
-
-    def adi_of(self, fault_id: int) -> int:
-        """The recorded ADI of ``fault_id`` (0 when never recorded)."""
-        return self.adi.get(fault_id, 0)
 
     # ------------------------------------------------------------------
     def is_retired(self, fault_id: int) -> bool:

@@ -2,8 +2,8 @@
 per trial.
 
 The trial engine (:meth:`FaultSimulator.detect_trials`), the Phase-4
-prefetch cache (:func:`static_compact`), the Phase-3 candidate blocks
-(:func:`top_off`) and the ADI packing order are pure accelerations:
+prefetch cache (:func:`static_compact`) and the Phase-3 candidate
+blocks (:func:`top_off`) are pure accelerations:
 none of them may change a single detection, selection, or statistic on
 the equivalence-guaranteed paths.  These properties drive random
 circuits, ragged X-laden trial batches and every engine through the
@@ -23,7 +23,6 @@ from repro.atpg.comb_set import CombTest
 from repro.circuits import synth
 from repro.core import combine, topoff
 from repro.core.combine import static_compact
-from repro.core.phase1 import select_scan_in
 from repro.core.scan_test import ScanTestSet, single_vector_test
 from repro.core.topoff import top_off
 from repro.sim import values as V
@@ -213,65 +212,6 @@ class TestBatchedTopOff:
         assert batched.uncovered == reference.uncovered
         assert (counters.trial_passes, counters.trial_lanes) == \
             (2, 2 * lanes)
-
-    def test_all_zero_adi_is_identity(self):
-        """An empty ADI map ranks every fault equally: the paper's
-        min-n(f) selection is unchanged."""
-        circuits, fs = circuits_for(4)
-        comb_tests = self._comb_tests(circuits, seed=2)
-        undetected = set(range(len(fs)))
-        sim = CombPatternSim(circuits[0], fs)
-        plain = top_off(sim, comb_tests, undetected)
-        scored = top_off(sim, comb_tests, undetected, adi={})
-        assert scored.chosen_indices == plain.chosen_indices
-
-    def test_adi_covers_the_same_faults(self):
-        """ADI may reorder selection, never lose coverage."""
-        circuits, fs = circuits_for(4)
-        comb_tests = self._comb_tests(circuits, seed=3)
-        undetected = set(range(len(fs)))
-        sim = CombPatternSim(circuits[0], fs)
-        plain = top_off(sim, comb_tests, undetected)
-        rng = random.Random(0)
-        adi = {f: rng.randrange(0, 5) for f in range(len(fs))}
-        scored = top_off(sim, comb_tests, undetected, adi=adi)
-        assert scored.covered == plain.covered
-        assert scored.uncovered == plain.uncovered
-
-
-class TestAdiOrdering:
-    def test_packing_order_never_changes_detections(self):
-        """set_adi_order only regroups machine bits."""
-        circuits, fs = circuits_for(5)
-        rng = random.Random(3)
-        vectors = [_vector(rng) for _ in range(8)]
-        init = V.random_binary_vector(len(circuits[0].ff_ids), rng)
-        # Force multiple chunks so the ordering actually applies.
-        plain_sim = FaultSimulator(circuits[0], fs, width="auto",
-                                   fused_cap=max(4, len(fs) // 3))
-        plain = plain_sim.detect(vectors, init, early_exit=False)
-        adi = {f: rng.randrange(0, 9) for f in range(len(fs))}
-        ordered_sim = FaultSimulator(circuits[0], fs, width="auto",
-                                     fused_cap=max(4, len(fs) // 3))
-        ordered_sim.set_adi_order(adi)
-        got = ordered_sim.detect(vectors, init, early_exit=False)
-        assert got == plain
-        assert ordered_sim.counters.adi_orderings > 0
-
-    def test_phase1_zero_adi_is_identity(self):
-        circuits, fs = circuits_for(6)
-        rng = random.Random(1)
-        n_ff = len(circuits[0].ff_ids)
-        comb_tests = [CombTest(V.random_binary_vector(n_ff, rng),
-                               V.random_binary_vector(_N_PI, rng))
-                      for _ in range(6)]
-        t0 = [_vector(rng, binary=True) for _ in range(6)]
-        selected = [False] * len(comb_tests)
-        sim = FaultSimulator(circuits[0], fs)
-        plain = select_scan_in(sim, t0, comb_tests, set(), selected)
-        scored = select_scan_in(sim, t0, comb_tests, set(), selected,
-                                adi={})
-        assert scored == plain
 
 
 @needs_kernel

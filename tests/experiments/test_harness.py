@@ -125,16 +125,17 @@ class TestSerialization:
 
     def test_engine_width_travel_through_jobspec(self):
         """The engine knob crosses the spawn boundary; the
-        result-invariant width / trial-batch settings are not JobSpec
-        fields, and a spec carrying them is rejected rather than
-        silently honoured."""
+        result-invariant width / trial-batch settings and the removed
+        ADI / SCOAP ordering knobs are not JobSpec fields, and a spec
+        carrying them is rejected rather than silently honoured."""
         spec = _spec(engine="interp")
         outcome = run_jobs([spec], config=_cfg(isolate=True))
         assert outcome.ok
         run = outcome.runs[0]
         assert run.knobs["engine"] == "interp"
         assert run.counters["np_passes"] == 0
-        for name, value in (("width", 16), ("trial_batch", 1)):
+        for name, value in (("width", 16), ("trial_batch", 1),
+                            ("adi", True), ("scoap", True)):
             with pytest.raises(TypeError):
                 _spec(**{name: value})
             assert name not in run.knobs
@@ -556,8 +557,7 @@ class TestPowerSerialization:
         from repro.experiments.salvage import salvage_usable
         base = _spec(arms=("seqgen", "random"), with_baselines=True,
                      delay=True)
-        different = {"x_fill": "adjacent", "power_budget": 9.0,
-                     "adi": True, "scoap": True}
+        different = {"x_fill": "adjacent", "power_budget": 9.0}
         assert set(different) == set(RESULT_KNOBS)
         # The salvage a run like s27_full_run would leave behind.
         salvage = {"seed": 1, "knobs": base.result_knobs}
@@ -591,7 +591,7 @@ class TestPowerSerialization:
         # A legacy spec dict (pre-knob fields stripped) resolves to the
         # defaults and must still accept the matching checkpoint.
         legacy = asdict(base)
-        for name in ("engine", "x_fill", "power_budget", "adi", "scoap"):
+        for name in ("engine", "x_fill", "power_budget"):
             legacy.pop(name, None)
         assert _checkpoint_usable(s27_full_run, JobSpec(**legacy))
 
@@ -616,10 +616,26 @@ class TestPowerSerialization:
         assert "s27" in capsys.readouterr().out
         statuses = [r.status for r in RunStore(tmp_path).load_records()]
         assert statuses == ["skipped-resume"]
-        for name, value in (("x_fill", "adjacent"), ("power_budget", 9.0),
-                            ("adi", True), ("scoap", True)):
+        for name, value in (("x_fill", "adjacent"), ("power_budget", 9.0)):
             assert not _checkpoint_usable(
                 stored, replace(spec, **{name: value})), name
+
+    def test_resume_recomputes_retired_knob_checkpoint(self, s27_full_run,
+                                                       tmp_path, capsys):
+        """A stored run an older version produced with a retired
+        result knob on is not reused by a plain ``--resume``: this
+        version cannot reproduce it, so the job runs again."""
+        from repro.cli import main
+        data = reporting.run_to_dict(s27_full_run)
+        data["knobs"]["adi"] = True
+        spec = _spec(arms=("seqgen", "random"), with_baselines=True,
+                     delay=True)
+        RunStore(tmp_path).append_run(spec, reporting.run_from_dict(data))
+        assert main(["circuit", "s27", "--delay", "--run-dir",
+                     str(tmp_path), "--resume"]) == 0
+        assert "s27" in capsys.readouterr().out
+        statuses = [r.status for r in RunStore(tmp_path).load_records()]
+        assert statuses == ["ok"]
 
     def test_checkpoint_usable_delay_asymmetric(self, s27_full_run):
         """--delay is measurement-only: a delay-bearing checkpoint

@@ -13,6 +13,7 @@ import pytest
 from repro.experiments import harness, reporting, tables
 from repro.experiments.harness import (HarnessConfig, JobSpec, RunStore,
                                        run_jobs)
+from repro.experiments.runner import RETIRED_KNOBS
 from repro.experiments.salvage import (CorruptLine, PartialRun,
                                        SalvageStore, SalvageWriter,
                                        decode_line, doctor, encode_line,
@@ -177,12 +178,18 @@ class TestSalvageStore:
         payload = {"seed": 1, "knobs": dict(knobs)}
         assert salvage_usable(payload, knobs, 1)
         assert not salvage_usable(payload, knobs, 2)
-        for name, value in (("x_fill", "adjacent"), ("power_budget", 9.0),
-                            ("adi", True), ("scoap", True)):
+        for name, value in (("x_fill", "adjacent"), ("power_budget", 9.0)):
             assert not salvage_usable(payload, {**knobs, name: value},
                                       1), name
+        # A retired knob recorded off is harmless; recorded on, the
+        # salvage came from code this version no longer has.
+        for name in RETIRED_KNOBS:
+            off = {**payload, "knobs": {**knobs, name: False}}
+            assert salvage_usable(off, knobs, 1), name
+            on = {**payload, "knobs": {**knobs, name: True}}
+            assert not salvage_usable(on, knobs, 1), name
         # Salvage that does not record a knob is never reused.
-        del payload["knobs"]["adi"]
+        del payload["knobs"]["x_fill"]
         assert not salvage_usable(payload, knobs, 1)
 
 
@@ -379,8 +386,13 @@ class TestPhaseResume:
 
 class TestKnobMismatchedSalvage:
     """Salvage left by a job under other result knobs never seeds a
-    job: a plain job after a crashed ``adi``/``scoap`` job (and the
-    reverse) matches a clean run and records its own knobs."""
+    job: a plain job after a crashed ``power_budget`` job (and the
+    reverse) matches a clean run and records its own knobs, and so
+    does a plain job after salvage an older version recorded with a
+    retired knob on.  Salvage recorded with a retired knob off is
+    still resumed."""
+
+    BUDGET = 3.0
 
     @staticmethod
     def _b02(**knobs):
@@ -389,44 +401,71 @@ class TestKnobMismatchedSalvage:
 
     @pytest.fixture(scope="class")
     def clean(self):
-        """``proposed_to_dict`` of clean b02 runs, keyed by knob."""
+        """``proposed_to_dict`` of clean b02 runs, keyed by budget."""
         refs = {}
-        for knob in (None, "adi", "scoap"):
-            spec = self._b02(**({knob: True} if knob else {}))
-            outcome = run_jobs([spec], config=_cfg(isolate=False))
+        for budget in (None, self.BUDGET):
+            outcome = run_jobs([self._b02(power_budget=budget)],
+                               config=_cfg(isolate=False))
             assert outcome.ok
-            refs[knob] = reporting.proposed_to_dict(
+            refs[budget] = reporting.proposed_to_dict(
                 outcome.runs[0].arms["seqgen"].result)
         return refs
 
-    def _crash_then_run(self, run_dir, dead, live):
+    def _crash(self, run_dir, dead):
         died = run_jobs([dead],
                         config=_cfg(isolate=False, retries=0,
                                     run_dir=run_dir,
                                     chaos=_chaos_once("crash@phase4")))
         assert not died.ok
         assert died.records[0].salvaged_phase == 3
+
+    def _run(self, run_dir, live):
         outcome = run_jobs([live], config=_cfg(isolate=False, retries=0,
                                                run_dir=run_dir))
         assert outcome.ok
         return outcome.runs[0]
 
-    @pytest.mark.parametrize("knob", ["adi", "scoap"])
+    @pytest.mark.parametrize("knob", ["power_budget", *RETIRED_KNOBS])
     def test_plain_job_after_knob_salvage(self, tmp_path, clean, knob):
-        assert clean[knob] != clean[None]  # the knob shapes b02's result
-        run = self._crash_then_run(tmp_path, self._b02(**{knob: True}),
-                                   self._b02())
-        assert run.knobs[knob] is False
+        if knob in RETIRED_KNOBS:
+            # This version cannot run the knob, so relabel plain
+            # salvage the way an older version recorded it.
+            self._crash(tmp_path, self._b02())
+            store = SalvageStore(tmp_path)
+            payload = store.load("b02", 1)
+            payload["knobs"][knob] = True
+            store.write("b02", 1, payload)
+        else:
+            # The budget shapes b02's result, so reuse would show.
+            assert clean[self.BUDGET] != clean[None]
+            self._crash(tmp_path, self._b02(power_budget=self.BUDGET))
+        run = self._run(tmp_path, self._b02())
+        assert run.counters["candidate_passes"] > 0  # Phase 1 reran
+        assert run.knobs["power_budget"] is None
         assert reporting.proposed_to_dict(
             run.arms["seqgen"].result) == clean[None]
 
-    @pytest.mark.parametrize("knob", ["adi", "scoap"])
+    @pytest.mark.parametrize("knob", ["power_budget", *RETIRED_KNOBS])
     def test_knob_job_after_plain_salvage(self, tmp_path, clean, knob):
-        run = self._crash_then_run(tmp_path, self._b02(),
-                                   self._b02(**{knob: True}))
-        assert run.knobs[knob] is True
+        if knob in RETIRED_KNOBS:
+            # This version can only run the knob at its off value, so
+            # the knob job is the plain job: salvage an older version
+            # recorded with the knob off must be resumed, not rerun.
+            self._crash(tmp_path, self._b02())
+            store = SalvageStore(tmp_path)
+            payload = store.load("b02", 1)
+            payload["knobs"][knob] = RETIRED_KNOBS[knob]
+            store.write("b02", 1, payload)
+            run = self._run(tmp_path, self._b02())
+            assert run.counters["candidate_passes"] == 0  # resumed
+            assert reporting.proposed_to_dict(
+                run.arms["seqgen"].result) == clean[None]
+            return
+        self._crash(tmp_path, self._b02())
+        run = self._run(tmp_path, self._b02(power_budget=self.BUDGET))
+        assert run.knobs["power_budget"] == self.BUDGET
         assert reporting.proposed_to_dict(
-            run.arms["seqgen"].result) == clean[knob]
+            run.arms["seqgen"].result) == clean[self.BUDGET]
 
 
 class TestDoctor:

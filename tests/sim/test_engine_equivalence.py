@@ -262,29 +262,6 @@ class TestCounters:
         assert c.machines == 420
         assert c.machines_per_word == 84.0
 
-    def test_dict_round_trip(self):
-        c = SimCounters(frames=7, words=3, machines=30,
-                        faults_dropped=2, repacks=1, detect_passes=4)
-        d = c.as_dict()
-        assert d["machines_per_word"] == 10.0
-        back = SimCounters.from_dict(d)
-        assert back == c
-
-    def test_from_dict_legacy_checkpoint(self):
-        """Checkpoints written before newer counter fields existed lack
-        their keys: missing fields default, derived and unknown keys
-        are ignored, present timer fields stay float."""
-        legacy = {"frames": 9, "words": 4, "machines": 40,
-                  "machines_per_word": 10.0,    # derived, not a field
-                  "retired_total": 3}           # a key we never had
-        back = SimCounters.from_dict(legacy)
-        assert back.frames == 9 and back.words == 4
-        assert back.faults_dropped == 0         # missing -> default
-        assert back.phase1_s == 0.0
-        assert back.machines_per_word == 10.0   # re-derived, not stored
-        half = SimCounters.from_dict({"frames": 1, "phase3_s": 0.25})
-        assert half.phase3_s == 0.25 and isinstance(half.phase3_s, float)
-
     def test_phase_timer_accumulates(self):
         c = SimCounters()
         with c.phase_timer("phase2"):
@@ -303,9 +280,9 @@ class TestCounters:
         c = SimCounters(frames=2, words=1, machines=4)
         with c.phase_timer("phase1"):
             pass
-        back = SimCounters.from_dict(c.as_dict())
-        assert isinstance(back.phase1_s, float)
-        assert isinstance(back.frames, int)
+        d = c.as_dict()
+        assert isinstance(d["phase1_s"], float)
+        assert isinstance(d["frames"], int)
         c.reset()
         assert c.phase1_s == 0.0 and c.frames == 0
 

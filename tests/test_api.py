@@ -55,6 +55,26 @@ class TestCompactTests:
                                   t0_length=60)
         assert res.t0_length == 60
 
+    @pytest.mark.parametrize("knob", [{"adi": True},
+                                      {"adi_scores": {}},
+                                      {"scoap": True}])
+    def test_removed_ordering_knobs(self, s27, knob):
+        """The ADI / SCOAP ordering knobs are gone from the API: a
+        call naming one is rejected rather than silently ignored."""
+        with pytest.raises(TypeError):
+            repro.compact_tests(s27, seed=1, t0_length=40, **knob)
+
+    @pytest.mark.parametrize("knob", [{"adi": True},
+                                      {"adi_scores": {}},
+                                      {"scoap_scores": {}}])
+    def test_proposed_run_rejects_removed_knobs(self, s27_bench,
+                                                s27_comb, knob):
+        from repro.core import proposed
+        from repro.sim import values as V
+        with pytest.raises(TypeError):
+            proposed.run(s27_bench.sim, s27_bench.comb_sim,
+                         [V.vec("1010")] * 5, s27_comb.tests, **knob)
+
     def test_explicit_t0(self, s27_bench, s27_comb):
         from repro.sim import values as V
         t0 = [V.vec("1010")] * 5

@@ -79,8 +79,8 @@ def test_ci_keeps_every_gate():
 
 
 def test_removed_modes_rejected():
-    """The deleted candidate-scan and trial-batch bench modes."""
+    """The deleted candidate-scan, trial-batch and ADI bench modes."""
     parser = _load_emit_bench()._parser()
-    for flag in ("--phase1", "--trials"):
+    for flag in ("--phase1", "--trials", "--adi"):
         with pytest.raises(SystemExit):
             parser.parse_args([flag, "--quick"])

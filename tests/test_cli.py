@@ -80,11 +80,14 @@ class TestParser:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_candidate_scan_flag(self, capsys):
-        """``--candidate-scan`` and ``--trial-batch`` are gone: the
-        routes they picked are result-identical test oracles now."""
+        """``--candidate-scan`` and ``--trial-batch`` are gone (the
+        routes they picked are result-identical test oracles now), and
+        so are the ``--adi``/``--scoap`` ordering knobs (the paper's
+        orderings are the only ones)."""
         for argv in (["--candidate-scan", "scalar"],
                      ["--candidate-scan", "lanes"],
-                     ["--trial-batch", "1"]):
+                     ["--trial-batch", "1"],
+                     ["--adi"], ["--scoap"]):
             for command in (["circuit", "s27"], ["tables"]):
                 with pytest.raises(SystemExit) as exc:
                     main(command + argv)
