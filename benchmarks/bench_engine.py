@@ -46,10 +46,10 @@ def test_fault_sim_sequence_pass(benchmark, wb):
 
 
 def test_fault_sim_fused_word(benchmark, wb):
-    """All faults packed into one fused word (width="auto")."""
+    """All faults packed into one fused word (the default cap)."""
     from repro.sim.fault_sim import FaultSimulator
 
-    fused_sim = FaultSimulator(wb.circuit, wb.faults, width="auto")
+    fused_sim = FaultSimulator(wb.circuit, wb.faults)
     vectors = random_gen.random_sequence(wb.circuit, 100, seed=1)
     init = random_gen.random_state(wb.circuit, seed=2)
     detected = benchmark(fused_sim.detect, vectors, init,
@@ -61,7 +61,7 @@ def test_fault_sim_chunked_word(benchmark, wb):
     """The pre-fusion policy: 128 machines per word, many chunks."""
     from repro.sim.fault_sim import FaultSimulator
 
-    chunked_sim = FaultSimulator(wb.circuit, wb.faults, width=128)
+    chunked_sim = FaultSimulator(wb.circuit, wb.faults, fused_cap=128)
     vectors = random_gen.random_sequence(wb.circuit, 100, seed=1)
     init = random_gen.random_state(wb.circuit, seed=2)
     detected = benchmark(chunked_sim.detect, vectors, init,

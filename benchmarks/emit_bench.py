@@ -4,11 +4,11 @@ power).
 Default mode runs the paper's full proposed procedure
 (:func:`repro.core.proposed.run`) twice on one synthesized circuit:
 
-* **before** -- the pre-fusion engine configuration: 128 machines per
-  word (many chunks per pass) and a *disabled* scoreboard, so no
-  cross-phase fault dropping;
-* **after** -- the wide-word configuration: ``width="auto"`` (every
-  target fused into one word) with cross-phase dropping on;
+* **before** -- the pre-fusion engine configuration: ``fused_cap=128``
+  (127 faulty machines per word, many chunks per pass) and a
+  *disabled* scoreboard, so no cross-phase fault dropping;
+* **after** -- the wide-word configuration: the default ``fused_cap``
+  (every target fused into one word) with cross-phase dropping on;
 * **numpy** -- the same fused configuration with every pass in the C
   pass kernel over uint64 arrays (``engine="auto"``).  The arm is
   skipped -- recorded as ``null`` with a visible notice -- when the
@@ -111,7 +111,7 @@ from repro.power.activity import ActivityEngine
 from repro.sim.comb_sim import CombPatternSim
 from repro.sim.counters import SimCounters
 from repro.sim import npsim
-from repro.sim.fault_sim import DEFAULT_WIDTH, FaultSimulator
+from repro.sim.fault_sim import FUSED_CAP, FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
@@ -130,15 +130,18 @@ FULL_PROFILE = dict(name="bench1k", n_pi=12, n_po=10, n_ff=28,
 #: CI-sized circuit: the same pipeline in a few seconds.
 QUICK_PROFILE = dict(name="benchq", n_pi=8, n_po=6, n_ff=12,
                      n_gates=90, seed=7, t0_length=40)
+#: The before arm's packing cap: the pre-fusion 128-bit words.
+CHUNKED_CAP = 128
 
 
-def _run_arm(netlist, comb_tests, t0, width, dropping: bool,
+def _run_arm(netlist, comb_tests, t0, fused_cap: int, dropping: bool,
              engine: str = "codegen") -> Dict[str, Any]:
     """One full proposed-procedure pass under a packing/drop policy."""
     circuit = CompiledCircuit(netlist, engine=engine)
     faults = FaultSet.collapsed(netlist)
     counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width=width, counters=counters)
+    sim = FaultSimulator(circuit, faults, counters=counters,
+                         fused_cap=fused_cap)
     comb_sim = CombPatternSim(circuit, faults)
     scoreboard = FaultScoreboard(len(faults), counters=counters,
                                  enabled=dropping)
@@ -149,7 +152,7 @@ def _run_arm(netlist, comb_tests, t0, width, dropping: bool,
     final = result.compacted_set or result.test_set
     return {
         "engine": engine,
-        "width": width,
+        "fused_cap": fused_cap,
         "dropping": dropping,
         "seconds": round(seconds, 3),
         "counters": counters.as_dict(),
@@ -180,21 +183,21 @@ def build_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
           f"{netlist.num_ffs} FFs, {len(faults)} collapsed faults, "
           f"{len(comb.tests)} comb tests, |T0|={len(t0)}")
 
-    print("before: chunked width=128, no dropping ...", flush=True)
-    before = _run_arm(netlist, comb.tests, t0, DEFAULT_WIDTH,
+    print(f"before: chunked fused_cap={CHUNKED_CAP}, no dropping ...",
+          flush=True)
+    before = _run_arm(netlist, comb.tests, t0, CHUNKED_CAP,
                       dropping=False)
     print(f"  {before['seconds']}s")
-    print('after: width="auto" fused, cross-phase dropping ...',
-          flush=True)
-    after = _run_arm(netlist, comb.tests, t0, "auto", dropping=True)
+    print("after: fused, cross-phase dropping ...", flush=True)
+    after = _run_arm(netlist, comb.tests, t0, FUSED_CAP, dropping=True)
     print(f"  {after['seconds']}s")
 
     numpy_arm: Optional[Dict[str, Any]] = None
     reason = npsim.kernel_unavailable_reason()
     if reason is None:
-        print('numpy: width="auto" fused, C pass kernel (engine auto) ...',
+        print("numpy: fused, C pass kernel (engine auto) ...",
               flush=True)
-        numpy_arm = _run_arm(netlist, comb.tests, t0, "auto",
+        numpy_arm = _run_arm(netlist, comb.tests, t0, FUSED_CAP,
                              dropping=True, engine="auto")
         print(f"  {numpy_arm['seconds']}s")
     else:
@@ -281,7 +284,7 @@ def build_engine_matrix_payload(quick: bool, seed: int = 1,
             engines[engine] = None
             continue
         circuit = CompiledCircuit(netlist, engine=engine)
-        sim = FaultSimulator(circuit, faults, width="auto")
+        sim = FaultSimulator(circuit, faults)
         best = None
         for _ in range(repeats):
             started = time.perf_counter()
@@ -376,8 +379,7 @@ def _run_collapse_arm(netlist, comb_tests, t0,
     circuit = CompiledCircuit(netlist, engine="codegen")
     faults = FaultSet.uncollapsed(netlist, collapse=collapse)
     counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width="auto",
-                         counters=counters)
+    sim = FaultSimulator(circuit, faults, counters=counters)
     comb_sim = CombPatternSim(circuit, faults, counters=counters)
     n_untestable = 0
     dropped_reps = 0
@@ -565,7 +567,7 @@ def _delay_sets(netlist, comb, t0):
     """
     circuit = CompiledCircuit(netlist)
     faults = FaultSet.collapsed(netlist)
-    sim = FaultSimulator(circuit, faults, width="auto")
+    sim = FaultSimulator(circuit, faults)
     comb_sim = CombPatternSim(circuit, faults)
     result = run_proposed(sim, comb_sim, t0, comb.tests)
     proposed = result.compacted_set or result.test_set

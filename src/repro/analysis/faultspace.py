@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..circuits.netlist import Netlist
 from ..sim.faults import Fault, all_faults, fault_classes
-from .scoap import UNREACHABLE, ScoapMeasures, compute_scoap
+from .scoap import ScoapMeasures, compute_scoap
 
 #: Rule ids for untestability proofs.
 RULE_CONSTANT = "untestable.constant-line"

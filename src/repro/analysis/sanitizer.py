@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Any, Iterable, List, Mapping, Set, Tuple
 
 from .diagnostics import ERROR, Diagnostic
 

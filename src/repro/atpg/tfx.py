@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..circuits.netlist import Netlist
 from ..sim import values as V
 from ..sim.faults import Fault, FaultSet
 from ..sim.logicsim import CompiledCircuit
-from .podem import ABORTED, Podem, PodemResult, TESTABLE
+from .podem import Podem, PodemResult, TESTABLE
 
 
 def unroll(netlist: Netlist, depth: int) -> Netlist:

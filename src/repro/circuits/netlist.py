@@ -29,7 +29,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Gate types with free fanin arity.
 VARIADIC_TYPES = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR")

@@ -20,7 +20,7 @@ so the experiment reports can show paper-vs-measured side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import library, synth
 from .netlist import Netlist

@@ -12,7 +12,7 @@ matching the definitions in Sections 2 and 4 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
 from .scan_test import ScanTestSet
 

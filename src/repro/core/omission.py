@@ -18,7 +18,7 @@ cumulative PO-detection masks per fault word) and re-simulates only
 the suffix of each tentative test -- an order-of-magnitude saving over
 re-simulating from frame 0 for long sequences.
 
-Word packing follows the simulator's policy: under ``width="auto"``
+Word packing follows the simulator's ``fused_cap``: up to the cap
 the whole required set rides in one fused word, so each tentative
 omission costs a single suffix pass instead of one per 128-bit chunk.
 Every tentative omission bumps
@@ -30,7 +30,7 @@ counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..sim import values as V
 from ..sim.fault_sim import FaultSimulator, _Chunk

@@ -25,7 +25,7 @@ problem; the example/bench expose that trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from ..atpg import comb_set as comb_set_mod
 from ..atpg import random_gen

@@ -18,7 +18,7 @@ overlaps scan-out of test ``j``) plus one functional cycle per vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..sim import values as V
 from ..sim.logicsim import CompiledCircuit, simulate_sequence

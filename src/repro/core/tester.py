@@ -24,11 +24,11 @@ scan-out pin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..sim import values as V
 from ..sim.logicsim import CompiledCircuit, simulate_sequence
-from .scan_test import ScanTest, ScanTestSet
+from .scan_test import ScanTestSet
 
 SHIFT = "shift"
 FUNCTIONAL = "functional"

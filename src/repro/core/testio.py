@@ -21,7 +21,7 @@ a corrupted test program must never be applied silently.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
 from ..sim import values as V
 from .tester import FUNCTIONAL, SHIFT, TesterCycle, TesterProgram

@@ -37,14 +37,14 @@ otherwise.
   ``eval_frame`` call per frame per word -- exactly the semantics of
   the stuck-at engine's big-int path.
 * **packed** (the circuit's array backend): every launch of a frame
-  goes into one multi-word ``uint64`` array chunk executed by the C
-  pass kernel of :mod:`repro.sim.npsim` -- one kernel call for the
-  launch frame (injection stems force the late value, scan-out only
-  if it is also the last frame) and one for the fault-free
-  propagation suffix (stem-free plan, primary outputs observed every
-  frame, final state scanned out).  The kernel writes the captured
-  next state back into the shared arrays between calls, so the two
-  segments compose into the exact scalar pass.
+  goes into one multi-word ``uint64`` array chunk, captured by
+  :meth:`repro.sim.npsim.ArrayBackend.run_launch_capture` -- one
+  kernel call for the launch frame (injection stems force the late
+  value, scan-out only if it is also the last frame) and one for the
+  fault-free propagation suffix (primary outputs observed every
+  frame, final state scanned out).  This module only names the
+  launched ``(net, forced value)`` sites; the plans and the kernel
+  stay behind that one method.
 
 Detection is independent of how launches are grouped into words
 (every fault's machine evolves in its own bit-lane and the saturation
@@ -58,10 +58,8 @@ recomputation, reporting ``delay-agreement`` violations through
 
 from __future__ import annotations
 
-import copy
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis import sanitizer
 from ..circuits.netlist import Netlist
@@ -105,27 +103,6 @@ def all_transition_faults(netlist: Netlist) -> List[TransitionFault]:
     return faults
 
 
-@dataclass
-class _TdfChunk:
-    """Duck-typed injection chunk for the wide-word TDF capture.
-
-    Carries the same ``indices`` / ``mask`` / ``stems`` / ``branch`` /
-    ``ff_branch`` / ``src_stem_ids`` fields a
-    :class:`repro.sim.fault_sim._Chunk` does, which is all
-    :class:`repro.sim.npsim._ChunkPlan` consumes.  TDF injection only
-    ever uses whole-stem forcing (the late transition pins the net's
-    old value for one frame), so the branch tables stay empty.
-    """
-
-    indices: List[int]
-    mask: int
-    stems: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    branch: Dict[int, List[Tuple[int, int, int]]] = field(
-        default_factory=dict)
-    ff_branch: List[Tuple[int, int, int]] = field(default_factory=list)
-    src_stem_ids: List[int] = field(default_factory=list)
-
-
 class TransitionSim:
     """Transition-fault simulator bound to one circuit.
 
@@ -152,17 +129,8 @@ class TransitionSim:
             else SimCounters()
         ids = circuit.netlist.net_ids
         self._nid: List[int] = [ids[f.net] for f in self.faults]
-        self._src_ids = frozenset(circuit.pi_ids) | \
-            frozenset(circuit.ff_ids)
         self._backend = circuit.array_backend
-        self._plain_plans: "OrderedDict[int, Any]" = OrderedDict()
-        self._stem_site_buf: Optional[Any] = None
-        self._stem_dirty: List[int] = []
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
-
-    #: Stem-free propagation plans retained, keyed by launch-group
-    #: size (they are a pure function of the word width).
-    _PLAIN_PLAN_CACHE_SIZE = 8
 
     @property
     def route(self) -> str:
@@ -207,8 +175,6 @@ class TransitionSim:
                 zero[nid], one[nid] = V.pack_scalar(val, 1)
 
         packed = self._backend is not None
-        vec_arr = self._backend._vec_array(test.vectors) if packed \
-            else None
         for t in range(1, test.length):
             prev_zero, prev_one = frames[t - 1]
             cur_zero, cur_one = frames[t]
@@ -225,8 +191,7 @@ class TransitionSim:
                 continue
             if packed:
                 caught = self._capture_packed(test, states, frames,
-                                              t, sorted(launched),
-                                              vec_arr)
+                                              t, sorted(launched))
             else:
                 caught = self._capture_and_propagate(
                     test, states, frames, t, sorted(launched))
@@ -312,59 +277,21 @@ class TransitionSim:
                         states: Sequence[V.Vector],
                         frames: Sequence,
                         launch: int,
-                        launched: Sequence[int],
-                        vec_arr: Any) -> Set[int]:
-        """Kernel check for one launch frame (packed route).
-
-        All launches go into one multi-word chunk: segment one runs
-        just the launch frame with the late values forced through the
-        injection-stem plan, segment two propagates fault-free through
-        the remaining frames on the same arrays (the kernel's
-        next-state write-back carries the error state across the
-        boundary).  Saturation in segment one means every lane is
-        already caught and the suffix is skipped.
-        """
-        from ..sim import npsim
-        backend = self._backend
-        np = backend.np
-        circuit = self.circuit
-        last = test.length - 1
+                        launched: Sequence[int]) -> Set[int]:
+        """Kernel check for one launch frame (packed route): every
+        launch in one multi-word chunk, captured by
+        :meth:`repro.sim.npsim.ArrayBackend.run_launch_capture`."""
         group = list(launched)
-        site_of: Dict[int, int] = {}
-        bits0: List[List[int]] = []   # slow-to-rise: stuck-at-0 bits
-        bits1: List[List[int]] = []   # slow-to-fall: stuck-at-1 bits
-        for pos, fid in enumerate(group):
-            nid = self._nid[fid]
-            i = site_of.setdefault(nid, len(bits0))
-            if i == len(bits0):
-                bits0.append([])
-                bits1.append([])
-            (bits0 if self.faults[fid].rising else bits1)[i].append(
-                pos + 1)
-        plan = self._stem_plan(len(group), site_of, bits0, bits1)
-        # launch >= 1 always: frame 0 is never a launch frame.
-        zero, one = backend._init_state(plan, states[launch - 1])
-        W = plan.n_words
-        caught_arr = np.zeros(W, dtype=np.uint64)
-        ns_zero = np.zeros((max(1, len(circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
+        # Slow-to-rise stays at its old 0 (stuck-at-0), slow-to-fall
+        # at its old 1.
+        sites = [(self._nid[fid], 0 if self.faults[fid].rising else 1)
+                 for fid in group]
         counters = self.counters
-        counters.np_passes += 1
         counters.tdf_passes += 1
-        status, _, frames_run = backend._kernel_segment(
-            plan, zero, one, vec_arr, launch, launch, True,
-            launch == last, None, False, None, None,
-            ns_zero, ns_one, caught_arr)
-        if launch < last and status != npsim._STATUS_SATURATED:
-            plain = self._plain_plan(len(group))
-            _, _, more = backend._kernel_segment(
-                plain, zero, one, vec_arr, launch + 1, last, True,
-                True, None, False, None, None, ns_zero, ns_one,
-                caught_arr)
-            frames_run += more
+        # launch >= 1 always: frame 0 is never a launch frame.
+        caught, frames_run = self._backend.run_launch_capture(
+            counters, test.vectors, states[launch - 1], launch, sites)
         counters.tdf_words += frames_run
-        caught = V.array_to_word(caught_arr) & ~1
         detected = {fid for pos, fid in enumerate(group)
                     if caught & (1 << (pos + 1))}
         if sanitizer.enabled() and self._sanitize_spots_left > 0:
@@ -372,72 +299,6 @@ class TransitionSim:
             self._spot_check(test, states, frames, launch, group,
                              detected)
         return detected
-
-    def _plain_plan(self, n_group: int) -> Any:
-        """The stem-free propagation plan for a launch group of
-        ``n_group`` faults (LRU-cached: it depends only on the word
-        width, which depends only on the group size)."""
-        plan = self._plain_plans.get(n_group)
-        if plan is None:
-            from ..sim import npsim
-            chunk = _TdfChunk(indices=list(range(n_group)),
-                              mask=(1 << (n_group + 1)) - 1)
-            plan = npsim._ChunkPlan(self._backend, chunk)
-            self._plain_plans[n_group] = plan
-            if len(self._plain_plans) > self._PLAIN_PLAN_CACHE_SIZE:
-                self._plain_plans.popitem(last=False)
-        else:
-            self._plain_plans.move_to_end(n_group)
-        return plan
-
-    def _stem_plan(self, n_group: int, site_of: Dict[int, int],
-                   bits0: Sequence[Sequence[int]],
-                   bits1: Sequence[Sequence[int]]) -> Any:
-        """The launch-frame plan for one group: the cached stem-free
-        template shallow-copied with only the stem arrays patched.
-
-        A full :class:`~repro.sim.npsim._ChunkPlan` rebuild per launch
-        frame is the packed route's hot spot (per-net site tables and
-        big-int row conversions each time); everything except the
-        stems is a pure function of the group size, and the stem rows
-        are set bit-by-bit straight into ``uint64`` words (``bits0`` /
-        ``bits1`` hold the stuck-at-0 / stuck-at-1 machine-bit
-        positions per stem site).  The copy's ``chunk`` still reports
-        empty stems; the kernel reads only the plan arrays.  The per-net site
-        table is a single reused buffer -- entries dirtied by the
-        previous launch frame are cleared here, so the plan returned
-        by the last call stays valid until the next one.
-        """
-        np = self._backend.np
-        plan = copy.copy(self._plain_plan(n_group))
-        plan._kptrs = None   # the template's casts point at its arrays
-        site = self._stem_site_buf
-        if site is None or len(site) != self.circuit.n_nets:
-            site = np.full(self.circuit.n_nets, -1, dtype=np.int32)
-            self._stem_site_buf = site
-        for nid in self._stem_dirty:
-            site[nid] = -1
-        self._stem_dirty = list(site_of)
-        W = plan.n_words
-        n_sites = len(bits0)
-        f0 = np.zeros((max(1, n_sites), W), dtype=np.uint64)
-        f1 = np.zeros_like(f0)
-        for i in range(n_sites):
-            for b in bits0[i]:
-                f0[i, b >> 6] |= np.uint64(1 << (b & 63))
-            for b in bits1[i]:
-                f1[i, b >> 6] |= np.uint64(1 << (b & 63))
-        for nid, i in site_of.items():
-            site[nid] = i
-        plan.stem_site = site
-        plan.st_f0 = f0
-        plan.st_f1 = f1
-        plan.st_keep = plan.mask[None, :] & ~(f0 | f1)
-        src = [nid for nid in site_of if nid in self._src_ids]
-        plan.src_stem_ids = np.asarray(src, dtype=np.int32)
-        plan.src_stem_site = np.asarray(
-            [site_of[nid] for nid in src], dtype=np.int32)
-        return plan
 
     def _spot_check(self, test: ScanTest,
                     states: Sequence[V.Vector],

@@ -16,7 +16,7 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 from ..core.combine import CombineResult, CombineStats
 from ..core.dynamic import DynamicResult

@@ -17,7 +17,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import api
 from ..atpg import comb_set as comb_set_mod
-from ..atpg import random_gen, seqgen
 from ..circuits.suite import CircuitProfile, suite
 from ..core.combine import CombineResult
 from ..core.dynamic import DynamicResult

@@ -9,8 +9,7 @@ through :func:`paper_comparison` for EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, List, Mapping, Optional,
-                    Sequence)
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 from ..core.metrics import at_speed_stats
 from .reporting import Table

@@ -21,8 +21,8 @@ the good-machine simulator (mask 1), the 128-bit chunked fault
 simulator, and the fused wide-word engine (one multi-thousand-bit
 word per pass) without recompilation -- the width lives entirely in
 the big-int operands.  Keep it that way: baking a width into the
-source would force one compile per packing policy and break the
-``width="auto"`` adaptive switch in :mod:`repro.sim.fault_sim`.
+source would force one compile per packing cap and break the
+fused-or-chunked switch (``fused_cap``) in :mod:`repro.sim.fault_sim`.
 
 Compiled code objects are cached by source text, so building many
 :class:`~repro.sim.logicsim.CompiledCircuit` instances over copies of
@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from ..circuits.netlist import Netlist
-
 # Opcode values mirror logicsim's (kept in sync by the import below).
 
 #: Source-text -> compiled code object cache (process lifetime; the
@@ -54,9 +52,8 @@ _CODE_CACHE: Dict[str, object] = {}
 
 def generate_source(circuit) -> str:
     """The Python source of the specialized evaluator."""
-    from .logicsim import (OP_AND, OP_BUF, OP_CONST0, OP_CONST1,
-                           OP_NAND, OP_NOR, OP_NOT, OP_OR, OP_XNOR,
-                           OP_XOR)
+    from .logicsim import (OP_AND, OP_BUF, OP_CONST0, OP_NAND, OP_NOR,
+                           OP_NOT, OP_OR, OP_XNOR, OP_XOR)
     lines: List[str] = [
         "def eval_frame(zero, one, mask, stems=None, branch=None):",
         "    _z = zero",

@@ -8,19 +8,15 @@ the *number of words*, not their width: Python integers are
 arbitrary-precision, and one 4096-bit AND is far cheaper than 32
 separate 128-bit evaluation passes.
 
-Packing policy (``width=``; not a user knob -- the pipeline always
-runs ``"auto"``, integer widths are the chunked test oracle):
-
-* ``"auto"`` (default) -- **wide-word fusion**: every active fault of
-  a pass is packed into a single word pair per net, falling back to
-  balanced chunks of at most :data:`FUSED_CAP` machines for huge
-  fault sets (beyond a few thousand machine bits the per-digit cost
-  of big-int arithmetic starts to win over the per-pass interpreter
-  overhead).  The ``fused_cap=`` constructor argument lowers the cap
-  for one simulator (a test seam for multi-chunk packings).
-* an integer ``N`` -- classic fixed-width chunking with ``N - 1``
-  faulty machines per word (the pre-fusion engine; ``N = 128`` is the
-  historical default, kept as :data:`DEFAULT_WIDTH`).
+Packing (``fused_cap=``; not a user knob): **wide-word fusion** packs
+every active fault of a pass into a single word pair per net, falling
+back to balanced chunks of at most ``fused_cap`` machine bits for huge
+fault sets (beyond a few thousand machine bits the per-digit cost of
+big-int arithmetic starts to win over the per-pass interpreter
+overhead).  The default is :data:`FUSED_CAP`; a smaller cap is the
+chunked packing that tests, the sanitizer shadow and the
+benchmarks' "before" arm (``fused_cap=128``: 127 faulty machines per
+word) compare against.
 
 Execution backend (``CompiledCircuit(engine=...)``): the packed words
 are evaluated as Python big-ints (engines ``"interp"`` /
@@ -39,7 +35,7 @@ detections into a shared
 :class:`~repro.sim.scoreboard.FaultScoreboard` so later phases build
 smaller injection words.  Both mechanisms are pure accelerations:
 per-machine logic values are independent of packing, so detection
-sets are identical under every width policy (enforced by the
+sets are identical under every packing cap (enforced by the
 equivalence test suite).
 
 Instrumentation: every simulator bumps a
@@ -76,7 +72,7 @@ captured by the final frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import values as V
 from ..analysis import sanitizer
@@ -85,19 +81,16 @@ from .faults import FaultSet
 from .logicsim import CompiledCircuit
 from .scoreboard import FaultScoreboard
 
-#: Historical fixed chunk width (127 faulty machines + the good bit).
-DEFAULT_WIDTH = 128
-
 #: Lane budget of the trial drivers: at most this many Phase-4 merge
 #: trials share one :meth:`FaultSimulator.detect_trials` pass, and at
 #: most this many Phase-3 candidates share one PPSFP pattern block.
 TRIAL_LANES = 64
 
-#: Machine-bit cap per fused word under ``width="auto"``.  Beyond this
-#: the per-digit cost of big-int ops outweighs the saved passes, so
-#: auto mode falls back to balanced chunks of at most this many
-#: machines.  Tests pass a smaller ``fused_cap=`` to
-#: :class:`FaultSimulator` to force multi-chunk packings.
+#: Default machine-bit cap per fused word.  Beyond this the per-digit
+#: cost of big-int ops outweighs the saved passes, so packing falls
+#: back to balanced chunks of at most this many machines.  Tests pass
+#: a smaller ``fused_cap=`` to :class:`FaultSimulator` to force
+#: multi-chunk packings.
 FUSED_CAP = 4096
 
 
@@ -115,8 +108,6 @@ _SANITIZE_SPOT_BUDGET = 3
 #: ... but only for passes small enough that the doubled work stays
 #: negligible.
 _SANITIZE_SPOT_TARGET_CAP = 256
-
-WidthPolicy = Union[int, str]
 
 
 @dataclass
@@ -278,9 +269,9 @@ class SimRecords:
 class FaultSimulator:
     """Parallel-fault simulator bound to one circuit and one fault set.
 
-    ``width`` selects the packing policy (see the module docstring):
-    ``"auto"`` fuses each pass's faults into one wide word (capped at
-    :data:`FUSED_CAP` machines), an int gives fixed-width chunking.
+    ``fused_cap`` caps the machine bits of one packed word (see the
+    module docstring): each pass's faults share one wide word up to
+    the cap and balanced chunks beyond it.
 
     ``scan_positions`` turns the simulator into a *partial-scan* model:
     scan-in vectors cover (and scan-outs observe) only the flip-flops
@@ -293,24 +284,14 @@ class FaultSimulator:
     """
 
     def __init__(self, circuit: CompiledCircuit, faults: FaultSet,
-                 width: WidthPolicy = "auto",
                  scan_positions: Optional[Sequence[int]] = None,
                  counters: Optional[SimCounters] = None,
                  fused_cap: int = FUSED_CAP) -> None:
-        if width == "auto":
-            if fused_cap < 2:
-                raise ValueError("fused_cap must allow at least one "
-                                 "faulty machine")
-        elif isinstance(width, int):
-            if width < 2:
-                raise ValueError(
-                    "width must allow at least one faulty machine")
-        else:
-            raise ValueError(f"unknown width policy {width!r}; "
-                             f"use an int >= 2 or 'auto'")
+        if fused_cap < 2:
+            raise ValueError("fused_cap must allow at least one "
+                             "faulty machine")
         self.circuit = circuit
         self.faults = faults
-        self.width = width
         self.fused_cap = fused_cap
         #: Sanitizer shadows set this to pin the big-int path, so a
         #: cross-check of an array-backend pass is cross-*backend* as
@@ -409,14 +390,12 @@ class FaultSimulator:
     def resolve_width(self, n_targets: int) -> int:
         """The word width a pass over ``n_targets`` faults will use.
 
-        ``"auto"`` fuses everything into one word up to
-        ``fused_cap`` machines; beyond that, balanced chunks (all
-        within one machine of each other) no wider than the cap --
-        e.g. 9000 faults over a 4096 cap become three ~3000-machine
-        words rather than two full ones and a 808-machine remainder.
+        Everything fuses into one word up to ``fused_cap`` machines;
+        beyond that, balanced chunks (all within one machine of each
+        other) no wider than the cap -- e.g. 9000 faults over a 4096
+        cap become three ~3000-machine words rather than two full
+        ones and a 808-machine remainder.
         """
-        if self.width != "auto":
-            return self.width
         if n_targets <= 0:
             return 2
         cap = self.fused_cap
@@ -728,8 +707,8 @@ class FaultSimulator:
         scan_observe: Optional[Sequence[int]], detected: Set[int],
     ) -> None:
         """Spot-check one finished ``detect`` pass against a shadow
-        simulator using the *opposite* packing policy (fused vs
-        chunked), with early exit and retirement off.  The shadow
+        simulator that splits the targets over at least two words
+        (fused vs chunked), with early exit and retirement off.  The shadow
         always runs the big-int path (``_force_bigint``), so when the
         primary pass went through the C pass kernel this is a
         cross-backend check as well as a cross-packing one.  Budgeted
@@ -739,27 +718,21 @@ class FaultSimulator:
         if not 0 < len(target_list) <= _SANITIZE_SPOT_TARGET_CAP:
             return
         self._sanitize_spots_left -= 1
-        if self.width == "auto":
-            # Force genuine chunking: split the targets over >= 2 words.
-            shadow_width: WidthPolicy = max(2, len(target_list) // 2 + 1)
-        else:
-            shadow_width = "auto"
+        # Force genuine chunking: split the targets over >= 2 words.
+        shadow_cap = max(2, len(target_list) // 2 + 1)
         shadow = FaultSimulator(self.circuit, self.faults,
-                                width=shadow_width,
-                                counters=SimCounters())
+                                counters=SimCounters(),
+                                fused_cap=shadow_cap)
         shadow._sanitize_shadow = True
         shadow._force_bigint = True
-        other = shadow.detect(vectors, init_state=full_state,
-                              target=target_list, scan_out=scan_out,
-                              observe_po=observe_po, early_exit=False,
-                              scan_observe=scan_observe)
-        fused, chunked = ((set(detected), other)
-                          if self.width == "auto"
-                          else (other, set(detected)))
+        chunked = shadow.detect(vectors, init_state=full_state,
+                                target=target_list, scan_out=scan_out,
+                                observe_po=observe_po, early_exit=False,
+                                scan_observe=scan_observe)
         sanitizer.check_agreement(
-            fused, chunked,
+            set(detected), chunked,
             f"FaultSimulator.detect ({len(target_list)} targets, "
-            f"width={self.width!r} vs {shadow_width!r})")
+            f"fused_cap={self.fused_cap} vs {shadow_cap})")
 
     # ------------------------------------------------------------------
     def run_with_records(
@@ -844,10 +817,9 @@ class FaultSimulator:
 
     def _lane_groups_per_word(self, n_lanes: int) -> int:
         """Fault groups per lane-transposed word: the packing cap
-        (fused cap under ``"auto"``, the chunk width otherwise) divided
-        by the lanes each group occupies, never below one group."""
-        cap = self.fused_cap if self.width == "auto" else self.width
-        return max(1, cap // n_lanes)
+        divided by the lanes each group occupies, never below one
+        group."""
+        return max(1, self.fused_cap // n_lanes)
 
     def _build_lane_chunks(self, indices: Sequence[int],
                            n_lanes: int) -> List[_LaneChunk]:

@@ -9,12 +9,21 @@ slow path.  This module re-hosts a pass on arrays: per-net words
 become a pair of ``(n_nets, n_words)`` ``uint64`` arrays (net-major
 -- see DESIGN.md section 13 for the layout rationale) and the whole
 pass loop runs in a *circuit-independent* C kernel compiled once per
-run with cffi and the system C compiler.  The circuit
-(opcode/fanin tables) and the chunk's injection sites (stem /
-fanout-branch / flip-flop-branch forcing masks) are handed over as
-dense plan arrays, so a frame costs a few microseconds with zero
-per-frame Python work; Python regains control only at pass
-boundaries and at in-pass repack points.
+run with cffi and the system C compiler.  The circuit (opcode/fanin
+tables, PI/PO/flip-flop ids) and the chunk's injection sites (stem /
+fanout-branch / flip-flop-branch forcing masks) cross into C as two
+structs, ``repro_circuit`` (built once per :class:`ArrayBackend`) and
+``repro_plan`` (built once per :class:`_ChunkPlan`), so a frame costs
+a few microseconds with zero per-frame Python work; Python regains
+control only at pass boundaries and at in-pass repack points.  The
+struct types and entry points are declared once, in
+``_KERNEL_CDEF``, which the C source itself starts with.
+
+Every fault-simulation pass of the pipeline runs here: ``detect`` /
+``run_with_records`` chunks, Phase-2 suffix trials, the lane passes
+behind ``detect_trials`` / ``detect_candidates``, and the transition-
+fault launch captures of :mod:`repro.delay.transition`
+(:meth:`ArrayBackend.run_launch_capture`).
 
 The kernel mirrors :meth:`repro.sim.fault_sim.FaultSimulator`'s
 big-int pass loops operation for operation -- load, source stems,
@@ -34,6 +43,7 @@ evaluator (:func:`kernel_unavailable_reason` says why).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import shutil
@@ -46,6 +56,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
 from . import values as V
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .counters import SimCounters
     from .fault_sim import FaultSimulator, _Chunk, _LaneChunk
     from .logicsim import CompiledCircuit
 
@@ -78,14 +89,95 @@ def numpy_available() -> bool:
 # The circuit-independent C kernel
 # ----------------------------------------------------------------------
 # One C function runs a whole pass (many frames) over the array state.
-# It is generated once -- the circuit travels in plan arrays, not in
-# the source -- so the process pays a single sub-second compile no
-# matter how many circuits it simulates.  Opcode values mirror
-# logicsim's OP_* constants (asserted at backend build time).
+# It is generated once -- the circuit and the injection plan travel as
+# two structs, not in the source -- so the process pays a single
+# sub-second compile no matter how many circuits it simulates.  Opcode
+# values mirror logicsim's OP_* constants.
+#
+# _KERNEL_CDEF is the whole ABI: the two struct types and the three
+# entry-point prototypes.  The C source starts with it, so the
+# compiler rejects a definition whose types drift from what cffi
+# declares (tests/sim/test_kernel_abi.py also pins parameter names
+# and order).
 
-_KERNEL_SOURCE = r"""
+_KERNEL_CDEF = """
 typedef unsigned long long u64;
 
+/* The circuit: gate tables in topological order and the PI, PO,
+   flip-flop and flip-flop-data net ids.  Built once per backend. */
+typedef struct {
+    long n_gates;
+    const int* g_op;
+    const int* g_out;
+    const long* g_foff;
+    const int* g_fan;
+    long n_pi;
+    const int* pi_ids;
+    long n_po;
+    const int* po_ids;
+    long n_ff;
+    const int* ff_ids;
+    const int* ffd_ids;
+} repro_circuit;
+
+/* One chunk's injection plan: word count and machine mask, stem
+   forcing rows (per-net site table plus the stems on source nets),
+   fanout-branch and flip-flop-branch rows, and the gate evaluator's
+   scratch rows.  Built once per plan. */
+typedef struct {
+    long W;
+    const u64* mask;
+    long n_machines;
+    const int* stem_site;
+    const u64* st_f0;
+    const u64* st_f1;
+    const u64* st_keep;
+    long n_src_stem;
+    const int* src_stem_ids;
+    const int* src_stem_site;
+    const int* br_start;
+    const int* br_count;
+    const int* br_pin;
+    const u64* br_f0;
+    const u64* br_f1;
+    const u64* br_keep;
+    long n_ffbr;
+    const int* ffbr_pos;
+    const u64* ffbr_f0;
+    const u64* ffbr_f1;
+    const u64* ffbr_keep;
+    u64* scr_z;
+    u64* scr_o;
+} repro_plan;
+
+int repro_run_pass(
+    const repro_circuit* c, const repro_plan* p,
+    u64* zero, u64* one, const unsigned char* vecs,
+    long start_frame, long last_frame, int observe_po, int scan_out,
+    long n_scan_obs, const int* scan_obs, int early_exit,
+    long repack_min_machines, long repack_min_frames_left,
+    u64* rec_po, u64* rec_scan, u64* ns_zero, u64* ns_one,
+    u64* caught, long* stop_frame, long* frames_done);
+int repro_run_lane_pass(
+    const repro_circuit* c, const repro_plan* p,
+    u64* zero, u64* one, long n_frames,
+    const u64* pi_zero, const u64* pi_one,
+    const u64* act, const u64* end_mask, int observe_po,
+    const u64* good_po_z, const u64* good_po_o,
+    long n_slots, const int* slot_pos,
+    const u64* good_sc_z, const u64* good_sc_o,
+    u64* ns_zero, u64* ns_one, u64* caught, long* frames_done);
+void repro_run_good_lane_pass(
+    const repro_circuit* c, const repro_plan* p,
+    u64* zero, u64* one, long n_frames,
+    const u64* pi_zero, const u64* pi_one,
+    int observe_po, u64* good_po_z, u64* good_po_o,
+    long n_slots, const int* slot_pos,
+    u64* good_sc_z, u64* good_sc_o,
+    u64* ns_zero, u64* ns_one);
+"""
+
+_KERNEL_SOURCE = _KERNEL_CDEF + r"""
 static void repro_blend(u64* z, u64* o, const u64* f0, const u64* f1,
                         const u64* keep, long W) {
     long w;
@@ -105,45 +197,62 @@ static void repro_diff_acc(const u64* z, const u64* o, u64* acc,
     }
 }
 
+/* Per-lane primary-input words of frame f (pre-replicated). */
+static void repro_load_lanes(const repro_circuit* c, long W, long f,
+                             u64* zero, u64* one,
+                             const u64* pi_zero, const u64* pi_one) {
+    long p, w;
+    for (p = 0; p < c->n_pi; p++) {
+        u64* z = zero + (long)c->pi_ids[p] * W;
+        u64* o = one + (long)c->pi_ids[p] * W;
+        const u64* pz = pi_zero + (f * c->n_pi + p) * W;
+        const u64* po = pi_one + (f * c->n_pi + p) * W;
+        for (w = 0; w < W; w++) { z[w] = pz[w]; o[w] = po[w]; }
+    }
+}
+
+/* Stems on source nets (PIs and FF outputs), every frame. */
+static void repro_src_stems(const repro_plan* p, u64* zero, u64* one) {
+    long i, W = p->W;
+    for (i = 0; i < p->n_src_stem; i++) {
+        long nid = p->src_stem_ids[i];
+        long s = p->src_stem_site[i];
+        repro_blend(zero + nid * W, one + nid * W,
+                    p->st_f0 + s * W, p->st_f1 + s * W,
+                    p->st_keep + s * W, W);
+    }
+}
+
 /* One frame of gate evaluation in topological order, with fanout-
-   branch overrides and post-gate stem forcing -- shared by the
-   detect/records pass and the lane-transposed trial pass so the two
-   can never drift apart. */
-static void repro_eval_gates(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    u64* scr_z, u64* scr_o)
-{
-    long g, i, w, b;
-    for (g = 0; g < n_gates; g++) {
-        long out = g_out[g];
-        long s = g_foff[g], e = g_foff[g + 1];
+   branch overrides and post-gate stem forcing -- shared by every
+   pass so they can never drift apart. */
+static void repro_eval_gates(const repro_circuit* c, const repro_plan* p,
+                             u64* zero, u64* one) {
+    long g, i, w, b, W = p->W;
+    const u64* mask = p->mask;
+    for (g = 0; g < c->n_gates; g++) {
+        long out = c->g_out[g];
+        long s = c->g_foff[g], e = c->g_foff[g + 1];
         long k = e - s;
         const u64* fz[64];
         const u64* fo[64];
         u64* zz = zero + out * W;
         u64* oo = one + out * W;
-        int op = g_op[g];
-        long bc = br_count[out];
-        int ssite = stem_site[out];
+        int op = c->g_op[g];
+        long bc = p->br_count[out];
+        int ssite = p->stem_site[out];
         for (i = 0; i < k; i++) {
-            fz[i] = zero + (long)g_fan[s + i] * W;
-            fo[i] = one + (long)g_fan[s + i] * W;
+            fz[i] = zero + (long)c->g_fan[s + i] * W;
+            fo[i] = one + (long)c->g_fan[s + i] * W;
         }
         if (bc) {
             /* Fanout-branch overrides: force this gate's view of
                the overridden fanin pins (scratch copies). */
             u64 copied = 0;
-            for (b = br_start[out]; b < br_start[out] + bc; b++) {
-                long pin = br_pin[b];
-                u64* cz = scr_z + pin * W;
-                u64* co = scr_o + pin * W;
+            for (b = p->br_start[out]; b < p->br_start[out] + bc; b++) {
+                long pin = p->br_pin[b];
+                u64* cz = p->scr_z + pin * W;
+                u64* co = p->scr_o + pin * W;
                 if (!((copied >> pin) & 1ULL)) {
                     for (w = 0; w < W; w++) {
                         cz[w] = fz[pin][w];
@@ -153,8 +262,8 @@ static void repro_eval_gates(
                     fo[pin] = co;
                     copied |= 1ULL << pin;
                 }
-                repro_blend(cz, co, br_f0 + b * W, br_f1 + b * W,
-                            br_keep + b * W, W);
+                repro_blend(cz, co, p->br_f0 + b * W, p->br_f1 + b * W,
+                            p->br_keep + b * W, W);
             }
         }
         switch (op) {
@@ -208,125 +317,113 @@ static void repro_eval_gates(
             }
         }
         if (ssite >= 0)
-            repro_blend(zz, oo, st_f0 + (long)ssite * W,
-                        st_f1 + (long)ssite * W,
-                        st_keep + (long)ssite * W, W);
+            repro_blend(zz, oo, p->st_f0 + (long)ssite * W,
+                        p->st_f1 + (long)ssite * W,
+                        p->st_keep + (long)ssite * W, W);
+    }
+}
+
+/* Next state: captured FF data values + FF branch blends. */
+static void repro_capture(const repro_circuit* c, const repro_plan* p,
+                          const u64* zero, const u64* one,
+                          u64* ns_zero, u64* ns_one) {
+    long i, w, b, W = p->W;
+    for (i = 0; i < c->n_ff; i++) {
+        const u64* dz = zero + (long)c->ffd_ids[i] * W;
+        const u64* dn = one + (long)c->ffd_ids[i] * W;
+        u64* nz = ns_zero + i * W;
+        u64* no = ns_one + i * W;
+        for (w = 0; w < W; w++) { nz[w] = dz[w]; no[w] = dn[w]; }
+    }
+    for (b = 0; b < p->n_ffbr; b++)
+        repro_blend(ns_zero + (long)p->ffbr_pos[b] * W,
+                    ns_one + (long)p->ffbr_pos[b] * W,
+                    p->ffbr_f0 + b * W, p->ffbr_f1 + b * W,
+                    p->ffbr_keep + b * W, W);
+}
+
+/* Flip-flops take the captured next state. */
+static void repro_advance(const repro_circuit* c, long W,
+                          u64* zero, u64* one,
+                          const u64* ns_zero, const u64* ns_one) {
+    long i, w;
+    for (i = 0; i < c->n_ff; i++) {
+        u64* z = zero + (long)c->ff_ids[i] * W;
+        u64* o = one + (long)c->ff_ids[i] * W;
+        for (w = 0; w < W; w++) {
+            z[w] = ns_zero[i * W + w];
+            o[w] = ns_one[i * W + w];
+        }
+    }
+}
+
+/* Scan-out diff of the captured state: every flip-flop
+   (n_scan_obs < 0) or the listed positions. */
+static void repro_scan_diff(const repro_circuit* c, long W,
+                            const u64* ns_zero, const u64* ns_one,
+                            long n_scan_obs, const int* scan_obs,
+                            u64* acc) {
+    long i;
+    if (n_scan_obs < 0) {
+        for (i = 0; i < c->n_ff; i++)
+            repro_diff_acc(ns_zero + i * W, ns_one + i * W, acc, W);
+    } else {
+        for (i = 0; i < n_scan_obs; i++)
+            repro_diff_acc(ns_zero + (long)scan_obs[i] * W,
+                           ns_one + (long)scan_obs[i] * W, acc, W);
     }
 }
 
 int repro_run_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    const unsigned char* vecs,
-    long start_frame, long last_frame,
-    int observe_po, int scan_out,
-    long n_scan_obs, const int* scan_obs,
-    int early_exit, long repack_min_machines,
-    long repack_min_frames_left, long n_machines,
-    u64* rec_po, u64* rec_scan,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o,
+    const repro_circuit* c, const repro_plan* p,
+    u64* zero, u64* one, const unsigned char* vecs,
+    long start_frame, long last_frame, int observe_po, int scan_out,
+    long n_scan_obs, const int* scan_obs, int early_exit,
+    long repack_min_machines, long repack_min_frames_left,
+    u64* rec_po, u64* rec_scan, u64* ns_zero, u64* ns_one,
     u64* caught, long* stop_frame, long* frames_done)
 {
-    long f, p, i, w, b;
+    long f, pi, i, w, W = p->W;
+    const u64* mask = p->mask;
     for (f = start_frame; f <= last_frame; f++) {
         /* Load primary inputs (pack_scalar semantics: 0 -> zero row,
            1 -> one row, X -> neither). */
-        const unsigned char* vec = vecs + f * n_pi;
-        for (p = 0; p < n_pi; p++) {
-            u64* z = zero + (long)pi_ids[p] * W;
-            u64* o = one + (long)pi_ids[p] * W;
-            unsigned char v = vec[p];
+        const unsigned char* vec = vecs + f * c->n_pi;
+        for (pi = 0; pi < c->n_pi; pi++) {
+            u64* z = zero + (long)c->pi_ids[pi] * W;
+            u64* o = one + (long)c->pi_ids[pi] * W;
+            unsigned char v = vec[pi];
             for (w = 0; w < W; w++) {
                 z[w] = (v == 0) ? mask[w] : 0;
                 o[w] = (v == 1) ? mask[w] : 0;
             }
         }
-        /* Stems on source nets (PIs and FF outputs), every frame. */
-        for (i = 0; i < n_src_stem; i++) {
-            long nid = src_stem_ids[i];
-            long s = src_stem_site[i];
-            repro_blend(zero + nid * W, one + nid * W,
-                        st_f0 + s * W, st_f1 + s * W,
-                        st_keep + s * W, W);
-        }
-        /* Gates in topological order. */
-        repro_eval_gates(zero, one, mask, W, n_gates, g_op, g_out,
-                         g_foff, g_fan, stem_site, st_f0, st_f1,
-                         st_keep, br_start, br_count, br_pin,
-                         br_f0, br_f1, br_keep, scr_z, scr_o);
+        repro_src_stems(p, zero, one);
+        repro_eval_gates(c, p, zero, one);
         (*frames_done)++;
-        /* Next state: captured FF data values + FF branch blends. */
-        for (i = 0; i < n_ff; i++) {
-            const u64* dz = zero + (long)ffd_ids[i] * W;
-            const u64* dn = one + (long)ffd_ids[i] * W;
-            u64* nz = ns_zero + i * W;
-            u64* no = ns_one + i * W;
-            for (w = 0; w < W; w++) { nz[w] = dz[w]; no[w] = dn[w]; }
-        }
-        for (b = 0; b < n_ffbr; b++)
-            repro_blend(ns_zero + (long)ffbr_pos[b] * W,
-                        ns_one + (long)ffbr_pos[b] * W,
-                        ffbr_f0 + b * W, ffbr_f1 + b * W,
-                        ffbr_keep + b * W, W);
+        repro_capture(c, p, zero, one, ns_zero, ns_one);
         if (rec_po) {
             /* Records mode: per-frame PO and scan-out diff words, no
                early exit, flip-flops always advance. */
             u64* rp = rec_po + f * W;
             u64* rs = rec_scan + f * W;
             for (w = 0; w < W; w++) { rp[w] = 0; rs[w] = 0; }
-            for (i = 0; i < n_po; i++)
-                repro_diff_acc(zero + (long)po_ids[i] * W,
-                               one + (long)po_ids[i] * W, rp, W);
-            if (n_scan_obs < 0) {
-                for (i = 0; i < n_ff; i++)
-                    repro_diff_acc(ns_zero + i * W, ns_one + i * W,
-                                   rs, W);
-            } else {
-                for (i = 0; i < n_scan_obs; i++)
-                    repro_diff_acc(ns_zero + (long)scan_obs[i] * W,
-                                   ns_one + (long)scan_obs[i] * W,
-                                   rs, W);
-            }
-            for (i = 0; i < n_ff; i++) {
-                u64* z = zero + (long)ff_ids[i] * W;
-                u64* o = one + (long)ff_ids[i] * W;
-                for (w = 0; w < W; w++) {
-                    z[w] = ns_zero[i * W + w];
-                    o[w] = ns_one[i * W + w];
-                }
-            }
+            for (i = 0; i < c->n_po; i++)
+                repro_diff_acc(zero + (long)c->po_ids[i] * W,
+                               one + (long)c->po_ids[i] * W, rp, W);
+            repro_scan_diff(c, W, ns_zero, ns_one, n_scan_obs,
+                            scan_obs, rs);
+            repro_advance(c, W, zero, one, ns_zero, ns_one);
             continue;
         }
         /* Detect mode: accumulate caught machines. */
         if (observe_po)
-            for (i = 0; i < n_po; i++)
-                repro_diff_acc(zero + (long)po_ids[i] * W,
-                               one + (long)po_ids[i] * W, caught, W);
-        if (scan_out && f == last_frame) {
-            if (n_scan_obs < 0) {
-                for (i = 0; i < n_ff; i++)
-                    repro_diff_acc(ns_zero + i * W, ns_one + i * W,
-                                   caught, W);
-            } else {
-                for (i = 0; i < n_scan_obs; i++)
-                    repro_diff_acc(ns_zero + (long)scan_obs[i] * W,
-                                   ns_one + (long)scan_obs[i] * W,
-                                   caught, W);
-            }
-        }
+            for (i = 0; i < c->n_po; i++)
+                repro_diff_acc(zero + (long)c->po_ids[i] * W,
+                               one + (long)c->po_ids[i] * W, caught, W);
+        if (scan_out && f == last_frame)
+            repro_scan_diff(c, W, ns_zero, ns_one, n_scan_obs,
+                            scan_obs, caught);
         caught[0] &= ~1ULL;
         {
             int sat = 1;
@@ -344,21 +441,14 @@ int repro_run_pass(
                 any |= caught[w];
                 pc += __builtin_popcountll(caught[w]);
             }
-            if (any && n_machines >= repack_min_machines &&
+            if (any && p->n_machines >= repack_min_machines &&
                     (last_frame - f) >= repack_min_frames_left &&
-                    2 * pc >= n_machines) {
+                    2 * pc >= p->n_machines) {
                 *stop_frame = f;
                 return 2;
             }
         }
-        for (i = 0; i < n_ff; i++) {
-            u64* z = zero + (long)ff_ids[i] * W;
-            u64* o = one + (long)ff_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                z[w] = ns_zero[i * W + w];
-                o[w] = ns_one[i * W + w];
-            }
-        }
+        repro_advance(c, W, zero, one, ns_zero, ns_one);
     }
     *stop_frame = last_frame + 1;
     return 0;
@@ -374,72 +464,29 @@ int repro_run_pass(
    exit beyond full saturation (status 1); mirrors FaultSimulator.
    _run_trial_chunk word for word. */
 int repro_run_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    long n_frames,
+    const repro_circuit* c, const repro_plan* p,
+    u64* zero, u64* one, long n_frames,
     const u64* pi_zero, const u64* pi_one,
-    const u64* act, const u64* end_mask,
-    int observe_po,
+    const u64* act, const u64* end_mask, int observe_po,
     const u64* good_po_z, const u64* good_po_o,
     long n_slots, const int* slot_pos,
     const u64* good_sc_z, const u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o,
-    u64* caught, long* frames_done)
+    u64* ns_zero, u64* ns_one, u64* caught, long* frames_done)
 {
-    long f, p, i, w, b;
+    long f, i, w, W = p->W;
     for (f = 0; f < n_frames; f++) {
-        /* Load per-lane primary-input words (pre-replicated). */
-        for (p = 0; p < n_pi; p++) {
-            u64* z = zero + (long)pi_ids[p] * W;
-            u64* o = one + (long)pi_ids[p] * W;
-            const u64* pz = pi_zero + (f * n_pi + p) * W;
-            const u64* po = pi_one + (f * n_pi + p) * W;
-            for (w = 0; w < W; w++) { z[w] = pz[w]; o[w] = po[w]; }
-        }
-        for (i = 0; i < n_src_stem; i++) {
-            long nid = src_stem_ids[i];
-            long s = src_stem_site[i];
-            repro_blend(zero + nid * W, one + nid * W,
-                        st_f0 + s * W, st_f1 + s * W,
-                        st_keep + s * W, W);
-        }
-        repro_eval_gates(zero, one, mask, W, n_gates, g_op, g_out,
-                         g_foff, g_fan, stem_site, st_f0, st_f1,
-                         st_keep, br_start, br_count, br_pin,
-                         br_f0, br_f1, br_keep, scr_z, scr_o);
+        repro_load_lanes(c, W, f, zero, one, pi_zero, pi_one);
+        repro_src_stems(p, zero, one);
+        repro_eval_gates(c, p, zero, one);
         (*frames_done)++;
-        for (i = 0; i < n_ff; i++) {
-            const u64* dz = zero + (long)ffd_ids[i] * W;
-            const u64* dn = one + (long)ffd_ids[i] * W;
-            u64* nz = ns_zero + i * W;
-            u64* no = ns_one + i * W;
-            for (w = 0; w < W; w++) { nz[w] = dz[w]; no[w] = dn[w]; }
-        }
-        for (b = 0; b < n_ffbr; b++)
-            repro_blend(ns_zero + (long)ffbr_pos[b] * W,
-                        ns_one + (long)ffbr_pos[b] * W,
-                        ffbr_f0 + b * W, ffbr_f1 + b * W,
-                        ffbr_keep + b * W, W);
+        repro_capture(c, p, zero, one, ns_zero, ns_one);
         if (observe_po) {
             const u64* a = act + f * W;
-            for (i = 0; i < n_po; i++) {
-                const u64* gz = good_po_z + (f * n_po + i) * W;
-                const u64* go = good_po_o + (f * n_po + i) * W;
-                const u64* fz = zero + (long)po_ids[i] * W;
-                const u64* fo = one + (long)po_ids[i] * W;
+            for (i = 0; i < c->n_po; i++) {
+                const u64* gz = good_po_z + (f * c->n_po + i) * W;
+                const u64* go = good_po_o + (f * c->n_po + i) * W;
+                const u64* fz = zero + (long)c->po_ids[i] * W;
+                const u64* fo = one + (long)c->po_ids[i] * W;
                 for (w = 0; w < W; w++)
                     caught[w] |= a[w] &
                         ((gz[w] & fo[w]) | (go[w] & fz[w]));
@@ -464,81 +511,46 @@ int repro_run_lane_pass(
         {
             int sat = 1;
             for (w = 0; w < W; w++)
-                if (caught[w] != mask[w]) { sat = 0; break; }
+                if (caught[w] != p->mask[w]) { sat = 0; break; }
             if (sat) return 1;
         }
-        for (i = 0; i < n_ff; i++) {
-            u64* z = zero + (long)ff_ids[i] * W;
-            u64* o = one + (long)ff_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                z[w] = ns_zero[i * W + w];
-                o[w] = ns_one[i * W + w];
-            }
-        }
+        repro_advance(c, W, zero, one, ns_zero, ns_one);
     }
     return 0;
 }
 
 /* Fault-free lane pass: the good-value reference for the trial pass
    above.  Each lane carries one trial's own PI sequence; no faults
-   are injected (the caller passes an empty plan: stem_site all -1,
-   br_count all 0).  Emits per-frame PO lane words and the captured
-   next-state words of the observed scan slots -- every frame, the
-   Python caller slices by its end masks.  Mirrors FaultSimulator.
-   _good_trial_pass word for word. */
+   are injected (the caller passes an empty plan).  Emits per-frame PO
+   lane words and the captured next-state words of the observed scan
+   slots -- every frame, the Python caller slices by its end masks.
+   Mirrors FaultSimulator._good_trial_pass word for word. */
 void repro_run_good_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_frames,
+    const repro_circuit* c, const repro_plan* p,
+    u64* zero, u64* one, long n_frames,
     const u64* pi_zero, const u64* pi_one,
     int observe_po, u64* good_po_z, u64* good_po_o,
     long n_slots, const int* slot_pos,
     u64* good_sc_z, u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o)
+    u64* ns_zero, u64* ns_one)
 {
-    long f, p, i, w;
+    long f, i, w, W = p->W;
     for (f = 0; f < n_frames; f++) {
-        for (p = 0; p < n_pi; p++) {
-            u64* z = zero + (long)pi_ids[p] * W;
-            u64* o = one + (long)pi_ids[p] * W;
-            const u64* pz = pi_zero + (f * n_pi + p) * W;
-            const u64* po = pi_one + (f * n_pi + p) * W;
-            for (w = 0; w < W; w++) { z[w] = pz[w]; o[w] = po[w]; }
-        }
-        repro_eval_gates(zero, one, mask, W, n_gates, g_op, g_out,
-                         g_foff, g_fan, stem_site, st_f0, st_f1,
-                         st_keep, br_start, br_count, br_pin,
-                         br_f0, br_f1, br_keep, scr_z, scr_o);
+        repro_load_lanes(c, W, f, zero, one, pi_zero, pi_one);
+        repro_eval_gates(c, p, zero, one);
         if (observe_po) {
-            u64* gz = good_po_z + f * n_po * W;
-            u64* go = good_po_o + f * n_po * W;
-            for (i = 0; i < n_po; i++) {
-                const u64* z = zero + (long)po_ids[i] * W;
-                const u64* o = one + (long)po_ids[i] * W;
+            u64* gz = good_po_z + f * c->n_po * W;
+            u64* go = good_po_o + f * c->n_po * W;
+            for (i = 0; i < c->n_po; i++) {
+                const u64* z = zero + (long)c->po_ids[i] * W;
+                const u64* o = one + (long)c->po_ids[i] * W;
                 for (w = 0; w < W; w++) {
                     gz[i * W + w] = z[w];
                     go[i * W + w] = o[w];
                 }
             }
         }
-        for (i = 0; i < n_ff; i++) {
-            const u64* dz = zero + (long)ffd_ids[i] * W;
-            const u64* dn = one + (long)ffd_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                ns_zero[i * W + w] = dz[w];
-                ns_one[i * W + w] = dn[w];
-            }
-        }
+        repro_capture(c, p, zero, one, ns_zero, ns_one);
         if (n_slots) {
             u64* sz = good_sc_z + f * n_slots * W;
             u64* so = good_sc_o + f * n_slots * W;
@@ -550,89 +562,9 @@ void repro_run_good_lane_pass(
                 }
             }
         }
-        for (i = 0; i < n_ff; i++) {
-            u64* z = zero + (long)ff_ids[i] * W;
-            u64* o = one + (long)ff_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                z[w] = ns_zero[i * W + w];
-                o[w] = ns_one[i * W + w];
-            }
-        }
+        repro_advance(c, W, zero, one, ns_zero, ns_one);
     }
 }
-"""
-
-_KERNEL_CDEF = """
-typedef unsigned long long u64;
-int repro_run_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    const unsigned char* vecs,
-    long start_frame, long last_frame,
-    int observe_po, int scan_out,
-    long n_scan_obs, const int* scan_obs,
-    int early_exit, long repack_min_machines,
-    long repack_min_frames_left, long n_machines,
-    u64* rec_po, u64* rec_scan,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o,
-    u64* caught, long* stop_frame, long* frames_done);
-int repro_run_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    long n_frames,
-    const u64* pi_zero, const u64* pi_one,
-    const u64* act, const u64* end_mask,
-    int observe_po,
-    const u64* good_po_z, const u64* good_po_o,
-    long n_slots, const int* slot_pos,
-    const u64* good_sc_z, const u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o,
-    u64* caught, long* frames_done);
-void repro_run_good_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_frames,
-    const u64* pi_zero, const u64* pi_one,
-    int observe_po, u64* good_po_z, u64* good_po_o,
-    long n_slots, const int* slot_pos,
-    u64* good_sc_z, u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o);
 """
 
 #: Kernel pass-loop return codes.
@@ -788,6 +720,17 @@ def kernel_unavailable_reason() -> Optional[str]:
 # Per-chunk injection plan
 # ----------------------------------------------------------------------
 
+#: (dtype kind, item size) -> the cffi array type handed to a kernel
+#: pointer (``dtype.name`` is a slow property on a per-pass path).
+_CTYPES = {("u", 8): "u64[]", ("i", 4): "int[]", ("i", 8): "long[]",
+           ("u", 1): "unsigned char[]"}
+
+
+def _ptr(ffi: Any, arr: Any) -> Any:
+    """Kernel pointer to a C-contiguous array's data.  Whoever stores
+    it in a struct keeps ``arr`` alive for as long as the struct."""
+    return ffi.from_buffer(_CTYPES[arr.dtype.kind, arr.itemsize], arr)
+
 
 def _rows_array(np: Any, words: Sequence[int], n_words: int) -> Any:
     """Big-int words as a ``(max(1, len(words)), n_words)`` uint64
@@ -802,8 +745,15 @@ def _rows_array(np: Any, words: Sequence[int], n_words: int) -> Any:
         len(words), n_words).copy()
 
 
+#: The ``repro_plan`` pointer fields :meth:`_ChunkPlan.with_stems`
+#: replaces.
+_STEM_ARRAYS = ("stem_site", "st_f0", "st_f1", "st_keep",
+                "src_stem_ids", "src_stem_site")
+
+
 class _ChunkPlan:
-    """Dense array form of one :class:`_Chunk`'s injection data.
+    """Dense array form of one :class:`_Chunk`'s injection data, and
+    the ``repro_plan`` struct (:attr:`c`) the kernel reads it through.
 
     Blend order mirrors the big-int engine exactly: branch entries
     apply in their list order, flip-flop branch entries likewise, and
@@ -815,7 +765,8 @@ class _ChunkPlan:
     and must be passed explicitly for :class:`_LaneChunk` layouts
     (``n_groups * n_lanes``, no good bit) -- both chunk flavors carry
     the same ``mask`` / ``stems`` / ``branch`` / ``ff_branch`` /
-    ``src_stem_ids`` fields this plan consumes.
+    ``src_stem_ids`` fields this plan consumes.  The struct is built
+    here, once; the arrays it points into live as long as the plan.
     """
 
     def __init__(self, backend: "ArrayBackend",
@@ -860,7 +811,6 @@ class _ChunkPlan:
         self.br_keep = _rows_array(
             np, [chunk.mask & ~(m0 | m1) for m0, m1 in br_rows], W)
 
-        self.n_ffbr = len(chunk.ff_branch)
         self.ffbr_pos = np.asarray(
             [pos for pos, _, _ in chunk.ff_branch] or [0],
             dtype=np.int32)
@@ -871,10 +821,41 @@ class _ChunkPlan:
         self.ffbr_keep = _rows_array(
             np, [chunk.mask & ~(m0 | m1)
                  for _, m0, m1 in chunk.ff_branch], W)
-        #: Lazily built cffi casts of this plan's arrays; reset to
-        #: ``None`` whenever the arrays are swapped after construction
-        #: (see :meth:`ArrayBackend._kernel_segment`).
-        self._kptrs: Optional[Tuple[Any, ...]] = None
+        self.scr_z = np.zeros((backend.max_arity, W), dtype=np.uint64)
+        self.scr_o = np.zeros_like(self.scr_z)
+
+        ffi = backend.ffi
+        self.c = ffi.new("repro_plan*")
+        self.c.W = W
+        self.c.n_machines = len(chunk.indices)
+        self.c.n_src_stem = len(chunk.src_stem_ids)
+        self.c.n_ffbr = len(chunk.ff_branch)
+        # Every pointer field is backed by the attribute of its name.
+        self._point(ffi, [name for name, field
+                          in ffi.typeof("repro_plan").fields
+                          if field.type.kind == "pointer"])
+
+    def _point(self, ffi: Any, names: Sequence[str]) -> None:
+        for name in names:
+            setattr(self.c, name, _ptr(ffi, getattr(self, name)))
+
+    def with_stems(self, ffi: Any, stem_site: Any, st_f0: Any,
+                   st_f1: Any, src_stem_ids: Any,
+                   src_stem_site: Any) -> "_ChunkPlan":
+        """This plan with its stem rows replaced (``keep`` derived
+        from the mask); every other array, and the scratch rows, are
+        shared with ``self``."""
+        plan = copy.copy(self)
+        plan.stem_site = stem_site
+        plan.st_f0 = st_f0
+        plan.st_f1 = st_f1
+        plan.st_keep = self.mask[None, :] & ~(st_f0 | st_f1)
+        plan.src_stem_ids = src_stem_ids
+        plan.src_stem_site = src_stem_site
+        plan.c = ffi.new("repro_plan*", self.c[0])
+        plan.c.n_src_stem = len(src_stem_ids)
+        plan._point(ffi, _STEM_ARRAYS)
+        return plan
 
 
 # ----------------------------------------------------------------------
@@ -893,51 +874,65 @@ class ArrayBackend:
     Built lazily by :attr:`~repro.sim.logicsim.CompiledCircuit.
     array_backend` under ``engine="auto"``.  Construction loads (on
     first use, compiles) the kernel and raises
-    :class:`KernelUnavailableError` when it cannot.
+    :class:`KernelUnavailableError` when it cannot, then builds the
+    circuit's ``repro_circuit`` struct (:attr:`c`) once.
     """
 
     def __init__(self, circuit: "CompiledCircuit") -> None:
         kernel = _load_kernel()
         if kernel is None:
             raise KernelUnavailableError(_KERNEL_ERROR)
-        self._kernel = kernel
+        self.ffi, self.lib = kernel
         self.np = require_numpy()
         np = self.np
         self.circuit = circuit
         ops = circuit.ops
-        self.n_gates = len(ops)
         self.max_arity = max([len(f) for _, _, f in ops] or [1])
         if self.max_arity > 64:  # pragma: no cover - absurd netlists
             raise ValueError(
                 "numpy backend supports gates with at most 64 fanins")
-        self.g_op = np.asarray([op for op, _, _ in ops] or [0],
-                               dtype=np.int32)
-        self.g_out = np.asarray([out for _, out, _ in ops] or [0],
-                                dtype=np.int32)
         foff = [0]
         fan: List[int] = []
         for _, _, fins in ops:
             fan.extend(fins)
             foff.append(len(fan))
-        self.g_foff = np.asarray(foff, dtype=np.int64)
-        self.g_fan = np.asarray(fan or [0], dtype=np.int32)
-        self.pi_ids = np.asarray(circuit.pi_ids or [0], dtype=np.int32)
-        self.po_ids = np.asarray(circuit.po_ids or [0], dtype=np.int32)
-        self.ff_ids = np.asarray(circuit.ff_ids or [0], dtype=np.int32)
-        self.ffd_ids = np.asarray(circuit.ff_d_ids or [0],
-                                  dtype=np.int32)
-        #: Lazily built cffi casts of the circuit-constant arrays
-        #: (see :meth:`_kernel_segment`).
-        self._const_ptrs: Optional[Tuple[Any, ...]] = None
-        # Fault-free injection plans for the good lane pass, keyed by
-        # word width (circuit-wide, so safely shared across simulators).
-        self._empty_plans: Dict[int, Tuple[Any, ...]] = {}
+
+        def ids(values: Sequence[int]) -> Any:
+            return np.asarray(list(values) or [0], dtype=np.int32)
+
+        self.ff_ids = ids(circuit.ff_ids)
+        # The struct points into these arrays; they live with self.
+        self._tables = {
+            "g_op": ids([op for op, _, _ in ops]),
+            "g_out": ids([out for _, out, _ in ops]),
+            "g_foff": np.asarray(foff, dtype=np.int64),
+            "g_fan": ids(fan),
+            "pi_ids": ids(circuit.pi_ids), "po_ids": ids(circuit.po_ids),
+            "ff_ids": self.ff_ids, "ffd_ids": ids(circuit.ff_d_ids)}
+        self.c = self.ffi.new("repro_circuit*", {
+            "n_gates": len(ops), "n_pi": len(circuit.pi_ids),
+            "n_po": len(circuit.po_ids), "n_ff": len(circuit.ff_ids),
+            **{name: _ptr(self.ffi, arr)
+               for name, arr in self._tables.items()}})
+        #: Fault-free plans by machine-bit width (circuit-wide, so
+        #: safely shared across simulators; see :meth:`_empty_plan`).
+        self._empty_plans: "OrderedDict[int, _ChunkPlan]" = OrderedDict()
+        self._src_ids = frozenset(circuit.pi_ids) | \
+            frozenset(circuit.ff_ids)
+        # The per-net stem-site table of the TDF launch plans, reused
+        # across captures (entries the last capture set are cleared).
+        self._launch_site = np.full(circuit.n_nets, -1, dtype=np.int32)
+        self._launch_dirty: List[int] = []
 
     #: Plans retained by :meth:`_plan_for`.  Small: pipeline phases
     #: re-simulate a handful of target sets over and over (Phase-2
     #: omission trials alone issue thousands of short passes on the
     #: same set), and one bench1k plan is only a few hundred KB.
     _PLAN_CACHE_SIZE = 8
+    #: Fault-free plans retained by :meth:`_empty_plan`: good lane
+    #: passes use one or two widths, but TDF launch groups come in
+    #: dozens of sizes (each plan is a few KB).
+    _EMPTY_PLAN_CACHE_SIZE = 64
 
     def _plan_for(self, sim: "FaultSimulator",
                   chunk: "Union[_Chunk, _LaneChunk]",
@@ -969,6 +964,22 @@ class ArrayBackend:
         else:
             cache.move_to_end(key)
             plan.chunk = chunk
+        return plan
+
+    def _empty_plan(self, n_bits: int) -> _ChunkPlan:
+        """The fault-free plan over ``n_bits`` machine bits (mask all
+        ones, ``n_bits - 1`` machines beside bit 0): the good lane
+        pass's plan and the TDF propagation suffix's, LRU-cached."""
+        plan = self._empty_plans.get(n_bits)
+        if plan is None:
+            from .fault_sim import _Chunk
+            plan = _ChunkPlan(self, _Chunk(indices=list(range(n_bits - 1)),
+                                           mask=(1 << n_bits) - 1))
+            self._empty_plans[n_bits] = plan
+            if len(self._empty_plans) > self._EMPTY_PLAN_CACHE_SIZE:
+                self._empty_plans.popitem(last=False)
+        else:
+            self._empty_plans.move_to_end(n_bits)
         return plan
 
     # ------------------------------------------------------------------
@@ -1003,6 +1014,13 @@ class ArrayBackend:
                 one[nid] = V.word_to_array(one_words[nid], W)
         return zero, one
 
+    def _next_state(self, W: int) -> Tuple[Any, Any]:
+        """Zeroed next-state rows (one per flip-flop) for a pass."""
+        np = self.np
+        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
+                           dtype=np.uint64)
+        return ns_zero, np.zeros_like(ns_zero)
+
     def _vec_array(self, vectors: Sequence[V.Vector]) -> Any:
         """The PI sequence as a ``(n_frames, n_pi)`` uint8 array
         (0 / 1 / X scalars; width-independent)."""
@@ -1013,93 +1031,34 @@ class ArrayBackend:
         return np.ascontiguousarray(arr)
 
     # ------------------------------------------------------------------
-    def _kernel_segment(
+    def _run_pass(
         self, plan: _ChunkPlan, zero: Any, one: Any, vec_arr: Any,
         start: int, last: int, observe_po: bool, scan_out: bool,
         scan_observe: Optional[Sequence[int]], early_exit: bool,
-        rec_po: Optional[Any], rec_scan: Optional[Any],
         ns_zero: Any, ns_one: Any, caught: Any,
+        rec_po: Optional[Any] = None, rec_scan: Optional[Any] = None,
     ) -> Tuple[int, int, int]:
-        """One kernel call; returns ``(status, stop_frame, frames)``."""
+        """One ``repro_run_pass`` call; returns ``(status, stop_frame,
+        frames)``."""
         from . import fault_sim as FS
-        np = self.np
-        ffi, lib = self._kernel
-        W = plan.n_words
-
-        def u64p(arr: Any) -> Any:
-            return ffi.cast("u64*", arr.ctypes.data)
-
-        def i32p(arr: Any) -> Any:
-            return ffi.cast("int*", arr.ctypes.data)
-
+        ffi = self.ffi
         if scan_observe is None:
-            n_scan_obs = -1
-            scan_obs = np.zeros(1, dtype=np.int32)
+            n_scan_obs, obs = -1, [0]
         else:
-            n_scan_obs = len(scan_observe)
-            scan_obs = np.asarray(list(scan_observe) or [0],
-                                  dtype=np.int32)
-        scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
-        scr_o = np.zeros((self.max_arity, W), dtype=np.uint64)
+            n_scan_obs, obs = len(scan_observe), list(scan_observe) or [0]
+        scan_obs = self.np.asarray(obs, dtype=self.np.int32)
         stop = ffi.new("long*")
         frames = ffi.new("long*")
-        # Pointer casts dominate short segments (a TDF capture runs
-        # two per launch frame), so the backend-constant and
-        # plan-constant casts are built once and reused; the plan
-        # cache is invalidated (set to None) by anyone who swaps a
-        # plan's arrays after construction.
-        if self._const_ptrs is None:
-            self._const_ptrs = (
-                i32p(self.g_op), i32p(self.g_out),
-                ffi.cast("long*", self.g_foff.ctypes.data),
-                i32p(self.g_fan), i32p(self.pi_ids),
-                i32p(self.po_ids), i32p(self.ff_ids),
-                i32p(self.ffd_ids))
-        (p_gop, p_gout, p_gfoff, p_gfan, p_pi, p_po, p_ff,
-         p_ffd) = self._const_ptrs
-        if getattr(plan, "_kptrs", None) is None:
-            plan._kptrs = (
-                u64p(plan.mask), i32p(plan.stem_site),
-                u64p(plan.st_f0), u64p(plan.st_f1),
-                u64p(plan.st_keep), i32p(plan.src_stem_ids),
-                i32p(plan.src_stem_site), i32p(plan.br_start),
-                i32p(plan.br_count), i32p(plan.br_pin),
-                u64p(plan.br_f0), u64p(plan.br_f1),
-                u64p(plan.br_keep), i32p(plan.ffbr_pos),
-                u64p(plan.ffbr_f0), u64p(plan.ffbr_f1),
-                u64p(plan.ffbr_keep))
-        (p_mask, p_site, p_stf0, p_stf1, p_stkeep, p_srcids,
-         p_srcsite, p_brstart, p_brcount, p_brpin, p_brf0, p_brf1,
-         p_brkeep, p_ffbrpos, p_ffbrf0, p_ffbrf1,
-         p_ffbrkeep) = plan._kptrs
-        status = lib.repro_run_pass(
-            u64p(zero), u64p(one), p_mask, W,
-            self.n_gates, p_gop, p_gout,
-            p_gfoff,
-            p_gfan,
-            len(self.circuit.pi_ids), p_pi,
-            len(self.circuit.po_ids), p_po,
-            len(self.circuit.ff_ids), p_ff,
-            p_ffd,
-            p_site,
-            p_stf0, p_stf1, p_stkeep,
-            len(plan.src_stem_ids),
-            p_srcids, p_srcsite,
-            p_brstart, p_brcount,
-            p_brpin, p_brf0, p_brf1,
-            p_brkeep,
-            plan.n_ffbr, p_ffbrpos,
-            p_ffbrf0, p_ffbrf1,
-            p_ffbrkeep,
-            ffi.cast("unsigned char*", vec_arr.ctypes.data),
-            start, last,
-            int(observe_po), int(scan_out), n_scan_obs, i32p(scan_obs),
+        status = self.lib.repro_run_pass(
+            self.c, plan.c, _ptr(ffi, zero), _ptr(ffi, one),
+            _ptr(ffi, vec_arr), start, last, int(observe_po),
+            int(scan_out), n_scan_obs, _ptr(ffi, scan_obs),
             int(early_exit), FS._REPACK_MIN_MACHINES,
-            FS._REPACK_MIN_FRAMES_LEFT, len(plan.chunk.indices),
-            u64p(rec_po) if rec_po is not None else ffi.NULL,
-            u64p(rec_scan) if rec_scan is not None else ffi.NULL,
-            u64p(ns_zero), u64p(ns_one), u64p(scr_z), u64p(scr_o),
-            u64p(caught), stop, frames)
+            FS._REPACK_MIN_FRAMES_LEFT,
+            ffi.NULL if rec_po is None else _ptr(ffi, rec_po),
+            ffi.NULL if rec_scan is None else _ptr(ffi, rec_scan),
+            _ptr(ffi, ns_zero), _ptr(ffi, ns_one), _ptr(ffi, caught),
+            stop, frames)
         return int(status), int(stop[0]), int(frames[0])
 
     # ------------------------------------------------------------------
@@ -1126,16 +1085,14 @@ class ArrayBackend:
         plan = self._plan_for(sim, chunk)
         zero, one = self._init_state(plan, init_state)
         caught_arr = np.zeros(plan.n_words, dtype=np.uint64)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)),
-                            plan.n_words), dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
+        ns_zero, ns_one = self._next_state(plan.n_words)
         frames_total = 0
         frame = 0
         while frame <= last:
-            status, stop, frames = self._kernel_segment(
+            status, stop, frames = self._run_pass(
                 plan, zero, one, vec_arr, frame, last, observe_po,
-                scan_out, scan_observe, early_exit, None, None,
-                ns_zero, ns_one, caught_arr)
+                scan_out, scan_observe, early_exit, ns_zero, ns_one,
+                caught_arr)
             frames_total += frames
             counters.note_words(frames, len(chunk.indices))
             if status != _STATUS_REPACK:
@@ -1157,9 +1114,7 @@ class ArrayBackend:
             plan = _ChunkPlan(self, chunk)
             zero, one = self._state_from_words(plan, zw, ow)
             caught_arr = np.zeros(plan.n_words, dtype=np.uint64)
-            ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)),
-                                plan.n_words), dtype=np.uint64)
-            ns_one = np.zeros_like(ns_zero)
+            ns_zero, ns_one = self._next_state(plan.n_words)
             frame = stop + 1
         caught = V.array_to_word(caught_arr)
         for pos, fid in enumerate(chunk.indices):
@@ -1202,16 +1157,68 @@ class ArrayBackend:
             zero[self.ff_ids] = _rows_array(np, list(ff_zero), W)
             one[self.ff_ids] = _rows_array(np, list(ff_one), W)
         caught_arr = V.word_to_array(caught, W)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        vec_arr = self._vec_array(vectors)
-        _, _, frames = self._kernel_segment(
-            plan, zero, one, vec_arr, 0, last, True, True,
-            scan_observe, False, None, None, ns_zero, ns_one,
-            caught_arr)
+        ns_zero, ns_one = self._next_state(W)
+        _, _, frames = self._run_pass(
+            plan, zero, one, self._vec_array(vectors), 0, last, True,
+            True, scan_observe, False, ns_zero, ns_one, caught_arr)
         counters.note_words(frames, len(chunk.indices))
         return V.array_to_word(caught_arr), frames
+
+    # ------------------------------------------------------------------
+    def run_launch_capture(
+        self, counters: "SimCounters", vectors: Sequence[V.Vector],
+        state: V.Vector, launch: int, sites: Sequence[Tuple[int, int]],
+    ) -> Tuple[int, int]:
+        """One launch frame of transition-fault grading on the kernel.
+
+        Machine bit ``k + 1`` carries ``sites[k] = (net_id, value)``:
+        that net is forced to ``value`` (the late transition's old
+        value) during frame ``launch`` only, starting from the
+        fault-free ``state`` captured by frame ``launch - 1``.  Two
+        kernel calls on the same arrays: the launch frame through the
+        stem-forcing plan (scan-out only if it is also the last
+        frame), then -- unless every machine is already caught -- the
+        fault-free propagation suffix with POs observed every frame
+        and the final state scanned out; the kernel's next-state
+        write-back carries the error state across the boundary.
+        Returns ``(caught, frames_run)`` with ``caught`` the big-int
+        over machine bits ``1 .. len(sites)``.
+        """
+        np = self.np
+        plain = self._empty_plan(len(sites) + 1)
+        W = plain.n_words
+        site_of: Dict[int, int] = {}
+        for nid, _ in sites:
+            site_of.setdefault(nid, len(site_of))
+        f0 = np.zeros((max(1, len(site_of)), W), dtype=np.uint64)
+        f1 = np.zeros_like(f0)
+        for k, (nid, value) in enumerate(sites, 1):
+            (f1 if value else f0)[site_of[nid], k >> 6] |= \
+                np.uint64(1 << (k & 63))
+        site = self._launch_site
+        site[self._launch_dirty] = -1
+        self._launch_dirty = list(site_of)
+        for nid, i in site_of.items():
+            site[nid] = i
+        src = [nid for nid in site_of if nid in self._src_ids]
+        plan = plain.with_stems(
+            self.ffi, site, f0, f1, np.asarray(src, dtype=np.int32),
+            np.asarray([site_of[nid] for nid in src], dtype=np.int32))
+        counters.np_passes += 1
+        zero, one = self._init_state(plan, state)
+        caught = np.zeros(W, dtype=np.uint64)
+        ns_zero, ns_one = self._next_state(W)
+        vec_arr = self._vec_array(vectors)
+        last = len(vectors) - 1
+        status, _, frames = self._run_pass(
+            plan, zero, one, vec_arr, launch, launch, True,
+            launch == last, None, False, ns_zero, ns_one, caught)
+        if launch < last and status != _STATUS_SATURATED:
+            _, _, more = self._run_pass(
+                plain, zero, one, vec_arr, launch + 1, last, True, True,
+                None, False, ns_zero, ns_one, caught)
+            frames += more
+        return V.array_to_word(caught) & ~1, frames
 
     # ------------------------------------------------------------------
     def run_lane_chunk(
@@ -1300,73 +1307,23 @@ class ArrayBackend:
             sc_z = np.zeros((1, W), dtype=np.uint64)
             sc_o = np.zeros((1, W), dtype=np.uint64)
         slot_arr = np.asarray(list(slot_pos) or [0], dtype=np.int32)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
-        scr_o = np.zeros_like(scr_z)
+        ns_zero, ns_one = self._next_state(W)
         caught_arr = np.zeros(W, dtype=np.uint64)
-        ffi, lib = self._kernel
-
-        def u64p(arr: Any) -> Any:
-            return ffi.cast("u64*", arr.ctypes.data)
-
-        def i32p(arr: Any) -> Any:
-            return ffi.cast("int*", arr.ctypes.data)
-
+        ffi = self.ffi
         frames = ffi.new("long*")
-        lib.repro_run_lane_pass(
-            u64p(zero), u64p(one), u64p(plan.mask), W,
-            self.n_gates, i32p(self.g_op), i32p(self.g_out),
-            ffi.cast("long*", self.g_foff.ctypes.data),
-            i32p(self.g_fan),
-            len(self.circuit.pi_ids), i32p(self.pi_ids),
-            len(self.circuit.po_ids), i32p(self.po_ids),
-            len(self.circuit.ff_ids), i32p(self.ff_ids),
-            i32p(self.ffd_ids),
-            i32p(plan.stem_site),
-            u64p(plan.st_f0), u64p(plan.st_f1), u64p(plan.st_keep),
-            len(plan.src_stem_ids),
-            i32p(plan.src_stem_ids), i32p(plan.src_stem_site),
-            i32p(plan.br_start), i32p(plan.br_count),
-            i32p(plan.br_pin), u64p(plan.br_f0), u64p(plan.br_f1),
-            u64p(plan.br_keep),
-            plan.n_ffbr, i32p(plan.ffbr_pos),
-            u64p(plan.ffbr_f0), u64p(plan.ffbr_f1),
-            u64p(plan.ffbr_keep),
-            n_frames,
-            u64p(pi_z), u64p(pi_o), u64p(act_arr), u64p(end_arr),
-            int(observe_po), u64p(gp_z), u64p(gp_o),
-            n_slots, i32p(slot_arr), u64p(sc_z), u64p(sc_o),
-            u64p(ns_zero), u64p(ns_one), u64p(scr_z), u64p(scr_o),
-            u64p(caught_arr), frames)
+        self.lib.repro_run_lane_pass(
+            self.c, plan.c, _ptr(ffi, zero), _ptr(ffi, one), n_frames,
+            _ptr(ffi, pi_z), _ptr(ffi, pi_o), _ptr(ffi, act_arr),
+            _ptr(ffi, end_arr), int(observe_po), _ptr(ffi, gp_z),
+            _ptr(ffi, gp_o), n_slots, _ptr(ffi, slot_arr),
+            _ptr(ffi, sc_z), _ptr(ffi, sc_o), _ptr(ffi, ns_zero),
+            _ptr(ffi, ns_one), _ptr(ffi, caught_arr), frames)
         frames_done = int(frames[0])
         counters.note_words(frames_done,
                             chunk.n_groups * chunk.n_lanes)
         return V.array_to_word(caught_arr), frames_done
 
     # ------------------------------------------------------------------
-    def _empty_plan_for(self, W: int) -> Tuple[Any, ...]:
-        """Cached no-fault plan arrays for the good lane pass."""
-        cached = self._empty_plans.get(W)
-        if cached is None:
-            np = self.np
-            n_nets = self.circuit.n_nets
-            cached = (
-                np.full(n_nets, -1, dtype=np.int32),   # stem_site
-                np.zeros((1, W), dtype=np.uint64),     # st_f0
-                np.zeros((1, W), dtype=np.uint64),     # st_f1
-                np.zeros((1, W), dtype=np.uint64),     # st_keep
-                np.zeros(n_nets, dtype=np.int32),      # br_start
-                np.zeros(n_nets, dtype=np.int32),      # br_count
-                np.zeros(1, dtype=np.int32),           # br_pin
-                np.zeros((1, W), dtype=np.uint64),     # br_f0
-                np.zeros((1, W), dtype=np.uint64),     # br_f1
-                np.zeros((1, W), dtype=np.uint64),     # br_keep
-            )
-            self._empty_plans[W] = cached
-        return cached
-
     def run_good_lane_pass(
         self, sim: "FaultSimulator", n_lanes: int, n_frames: int,
         pi_words: Sequence[Sequence[Tuple[int, int]]],
@@ -1389,8 +1346,8 @@ class ArrayBackend:
         np = self.np
         counters = sim.counters
         counters.np_passes += 1
-        W = max(1, (n_lanes + 63) // 64)
-        mask = V.word_to_array((1 << n_lanes) - 1, W)
+        plan = self._empty_plan(n_lanes)
+        W = plan.n_words
         n_nets = self.circuit.n_nets
         zero = np.zeros((n_nets, W), dtype=np.uint64)
         one = np.zeros((n_nets, W), dtype=np.uint64)
@@ -1416,38 +1373,14 @@ class ArrayBackend:
                         dtype=np.uint64)
         sc_o = np.zeros_like(sc_z)
         slot_arr = np.asarray(slots or [0], dtype=np.int32)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
-        scr_o = np.zeros_like(scr_z)
-        (stem_site, st_f0, st_f1, st_keep, br_start, br_count,
-         br_pin, br_f0, br_f1, br_keep) = self._empty_plan_for(W)
-        ffi, lib = self._kernel
-
-        def u64p(arr: Any) -> Any:
-            return ffi.cast("u64*", arr.ctypes.data)
-
-        def i32p(arr: Any) -> Any:
-            return ffi.cast("int*", arr.ctypes.data)
-
-        lib.repro_run_good_lane_pass(
-            u64p(zero), u64p(one), u64p(mask), W,
-            self.n_gates, i32p(self.g_op), i32p(self.g_out),
-            ffi.cast("long*", self.g_foff.ctypes.data),
-            i32p(self.g_fan),
-            len(self.circuit.pi_ids), i32p(self.pi_ids),
-            n_po, i32p(self.po_ids),
-            len(self.circuit.ff_ids), i32p(self.ff_ids),
-            i32p(self.ffd_ids),
-            i32p(stem_site), u64p(st_f0), u64p(st_f1), u64p(st_keep),
-            i32p(br_start), i32p(br_count),
-            i32p(br_pin), u64p(br_f0), u64p(br_f1), u64p(br_keep),
-            n_frames,
-            u64p(pi_z), u64p(pi_o),
-            int(observe_po), u64p(gp_z), u64p(gp_o),
-            n_slots, i32p(slot_arr), u64p(sc_z), u64p(sc_o),
-            u64p(ns_zero), u64p(ns_one), u64p(scr_z), u64p(scr_o))
+        ns_zero, ns_one = self._next_state(W)
+        ffi = self.ffi
+        self.lib.repro_run_good_lane_pass(
+            self.c, plan.c, _ptr(ffi, zero), _ptr(ffi, one), n_frames,
+            _ptr(ffi, pi_z), _ptr(ffi, pi_o), int(observe_po),
+            _ptr(ffi, gp_z), _ptr(ffi, gp_o), n_slots,
+            _ptr(ffi, slot_arr), _ptr(ffi, sc_z), _ptr(ffi, sc_o),
+            _ptr(ffi, ns_zero), _ptr(ffi, ns_one))
         counters.note_words(n_frames, n_lanes)
 
         def _rows_to_words(arr: Any, n_rows: int) -> List[int]:
@@ -1502,14 +1435,12 @@ class ArrayBackend:
         zero, one = self._init_state(plan, init_state)
         rec_po = np.zeros((n_frames, W), dtype=np.uint64)
         rec_scan = np.zeros((n_frames, W), dtype=np.uint64)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
+        ns_zero, ns_one = self._next_state(W)
         caught = np.zeros(W, dtype=np.uint64)
-        self._kernel_segment(
+        self._run_pass(
             plan, zero, one, self._vec_array(vectors), 0, n_frames - 1,
-            True, True, scan_observe, False, rec_po, rec_scan, ns_zero,
-            ns_one, caught)
+            True, True, scan_observe, False, ns_zero, ns_one, caught,
+            rec_po, rec_scan)
         counters.note_words(n_frames, len(chunk.indices))
         po_seen = 0
         for frame in range(n_frames):

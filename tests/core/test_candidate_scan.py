@@ -8,7 +8,7 @@ reproduce one :meth:`~repro.sim.fault_sim.FaultSimulator.detect` pass
 per candidate state bit for bit, and ``select_scan_in`` must pick the
 same ``(chosen_index, f_si)`` as the paper's loop over every test of
 ``C`` -- including the unselected-preferred tie-break -- on any
-circuit, any width policy, and any X-laden candidate set.  The
+circuit, any packing cap, and any X-laden candidate set.  The
 references are written here, on the per-state ``detect`` primitive.
 """
 
@@ -65,7 +65,7 @@ def reference_select(sim, t0, tests, f0, selected):
 
 
 circuit_seeds = st.integers(0, 9)
-widths = st.sampled_from([2, 5, "auto"])
+fused_caps = st.sampled_from([2, 5, fault_sim_mod.FUSED_CAP])
 
 
 def _state(rng, data):
@@ -92,11 +92,11 @@ def _comb_tests(rng, data, n):
 
 class TestScalarVsLanes:
     @settings(max_examples=40, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_selection_identical(self, seed, width, data):
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_selection_identical(self, seed, cap, data):
         """detect_candidates equals the per-state detect loop and
         (chosen_index, f_si) equals the reference loop over ``C``, on
-        every engine and width."""
+        every engine and packing cap."""
         *circuits, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         t0 = [V.random_binary_vector(_N_PI, rng)
@@ -104,12 +104,12 @@ class TestScalarVsLanes:
         tests = _comb_tests(rng, data, data.draw(st.integers(1, 7)))
         selected = [data.draw(st.booleans()) for _ in tests]
         states = [t.state for t in tests]
-        sim_ref = FaultSimulator(circuits[0], fs, width="auto")
+        sim_ref = FaultSimulator(circuits[0], fs)
         f0 = phase1.detect_no_scan(sim_ref, t0)
         remaining = sorted(set(range(len(fs))) - f0)
         reference = reference_select(sim_ref, t0, tests, f0, selected)
         for circuit in circuits:
-            sim = FaultSimulator(circuit, fs, width=width)
+            sim = FaultSimulator(circuit, fs, fused_cap=cap)
             assert sim.detect_candidates(
                 t0, states, target=remaining, scan_out=True) == \
                 per_state_detect(sim_ref, t0, states, remaining)

@@ -88,7 +88,7 @@ class TestDetectTrials:
             target = sorted(rng.sample(range(len(fs)),
                                        rng.randrange(0, len(fs))))
         for circuit in circuits:
-            sim = FaultSimulator(circuit, fs, width="auto")
+            sim = FaultSimulator(circuit, fs)
             batched = sim.detect_trials(trials, target=target,
                                         scan_out=scan_out)
             scalar = [sim.detect(list(v), s, target=target,
@@ -105,7 +105,7 @@ class TestDetectTrials:
         trials = [_trial(rng, n_ff, max_frames=3)
                   for _ in range(n_lanes)]
         for circuit in circuits:
-            sim = FaultSimulator(circuit, fs, width="auto")
+            sim = FaultSimulator(circuit, fs)
             batched = sim.detect_trials(trials)
             scalar = [sim.detect(list(v), s, early_exit=False)
                       for s, v in trials]
@@ -117,7 +117,7 @@ class TestDetectTrials:
         n_ff = len(circuits[0].ff_ids)
         observe = sorted(rng.sample(range(n_ff), max(1, n_ff // 2)))
         trials = [_trial(rng, n_ff) for _ in range(6)]
-        sim = FaultSimulator(circuits[0], fs, width="auto")
+        sim = FaultSimulator(circuits[0], fs)
         batched = sim.detect_trials(trials, scan_observe=observe)
         scalar = [sim.detect(list(v), s, scan_observe=observe,
                              early_exit=False)
@@ -223,7 +223,7 @@ class TestPlanCacheEviction:
         net = synth.generate("plancache", 4, 3, 5, 40, seed=2)
         cc = CompiledCircuit(net, engine="auto")
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         backend = cc.array_backend
         assert isinstance(backend, ArrayBackend)
         size = ArrayBackend._PLAN_CACHE_SIZE

@@ -4,7 +4,7 @@ agree exactly.
 The wide-word fusion, the in-pass repack, the codegen evaluator and
 the C pass kernel (``engine="auto"``) are pure packing/evaluation
 strategies -- none of them may change a single
-detection.  These properties drive random circuits, widths, scan
+detection.  These properties drive random circuits, packing caps, scan
 configurations and X-laden vectors through every engine combination
 and require byte-identical detection sets.
 """
@@ -43,7 +43,7 @@ def circuit_for(seed):
 
 
 circuit_seeds = st.integers(0, 14)
-widths = st.sampled_from([2, 5, 128, "auto"])
+fused_caps = st.sampled_from([2, 5, 128, fault_sim_mod.FUSED_CAP])
 
 
 def _vectors(data, rng, n):
@@ -60,9 +60,9 @@ def _vectors(data, rng, n):
 
 class TestEngineEquivalence:
     @settings(max_examples=40, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_detect_sets_identical(self, seed, width, data):
-        """Every (engine, width) pair agrees with the reference
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_detect_sets_identical(self, seed, cap, data):
+        """Every (engine, packing cap) pair agrees with the reference
         (codegen, fused) detection set on the same test."""
         cc_codegen, cc_generic, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
@@ -73,17 +73,17 @@ class TestEngineEquivalence:
         scan_out = data.draw(st.booleans())
         early_exit = data.draw(st.booleans())
 
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
+        reference = FaultSimulator(cc_codegen, fs).detect(
             vectors, init, scan_out=scan_out, early_exit=False)
         for circuit in (cc_codegen, cc_generic):
-            sim = FaultSimulator(circuit, fs, width=width)
+            sim = FaultSimulator(circuit, fs, fused_cap=cap)
             got = sim.detect(vectors, init, scan_out=scan_out,
                              early_exit=early_exit)
             assert got == reference
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_partial_scan_observation(self, seed, width, data):
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_partial_scan_observation(self, seed, cap, data):
         """Agreement holds when scan-out observes a subset of FFs."""
         cc_codegen, cc_generic, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
@@ -93,15 +93,15 @@ class TestEngineEquivalence:
         vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
         init = V.random_binary_vector(n_ff, rng)
 
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
+        reference = FaultSimulator(cc_codegen, fs).detect(
             vectors, init, scan_observe=observe, early_exit=False)
-        got = FaultSimulator(cc_generic, fs, width=width).detect(
+        got = FaultSimulator(cc_generic, fs, fused_cap=cap).detect(
             vectors, init, scan_observe=observe, early_exit=False)
         assert got == reference
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_records_identical(self, seed, width, data):
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_records_identical(self, seed, cap, data):
         """run_with_records yields the same truncated-test detections
         whatever the packing policy or engine."""
         cc_codegen, cc_generic, fs = circuit_for(seed)
@@ -109,9 +109,9 @@ class TestEngineEquivalence:
         vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
         init = V.random_binary_vector(len(cc_codegen.ff_ids), rng)
 
-        ref = FaultSimulator(cc_codegen, fs, width="auto")\
+        ref = FaultSimulator(cc_codegen, fs)\
             .run_with_records(vectors, init)
-        alt = FaultSimulator(cc_generic, fs, width=width)\
+        alt = FaultSimulator(cc_generic, fs, fused_cap=cap)\
             .run_with_records(vectors, init)
         for frame in range(len(vectors)):
             assert (ref.detected_with_scanout_at(frame)
@@ -130,9 +130,9 @@ class TestRepack:
         vectors = random_gen.random_sequence(cc, 30, seed=1)
         init = random_gen.random_state(cc, seed=2)
 
-        plain = FaultSimulator(cc, fs, width="auto").detect(
+        plain = FaultSimulator(cc, fs).detect(
             vectors, init, early_exit=False)
-        repacking = FaultSimulator(cc, fs, width="auto")
+        repacking = FaultSimulator(cc, fs)
         got = repacking.detect(vectors, init, early_exit=True)
         # early_exit/repack are pure shortcuts: the set is unchanged.
         assert got == plain
@@ -151,11 +151,11 @@ class TestRepack:
         vectors = random_gen.random_sequence(cc, 25, seed=4)
         init = random_gen.random_state(cc, seed=5)
 
-        plain = FaultSimulator(cc, fs, width="auto").detect(
+        plain = FaultSimulator(cc, fs).detect(
             vectors, init, early_exit=False)
         if len(plain) == len(fs):  # pragma: no cover - seed-dependent
             pytest.skip("every fault detected: early exit would fire")
-        repacking = FaultSimulator(cc, fs, width="auto")
+        repacking = FaultSimulator(cc, fs)
         got = repacking.detect(vectors, init, early_exit=True)
         assert got == plain
         assert repacking.counters.repacks > 0
@@ -166,7 +166,7 @@ class TestWidthPolicy:
         net = synth.generate("wp", 3, 2, 4, 20, seed=0)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         assert sim.resolve_width(50) == 51
         assert len(sim._build_chunks(range(50))) == 1
 
@@ -174,12 +174,11 @@ class TestWidthPolicy:
         net = synth.generate("wp", 3, 2, 4, 20, seed=0)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto", fused_cap=101)
+        sim = FaultSimulator(cc, fs, fused_cap=101)
         # 250 targets over a 101-machine cap -> 3 balanced chunks.
         assert sim.resolve_width(250) == 85  # ceil(250/3) + good machine
         # And over the real fault list: chunks within one of each other.
-        small = FaultSimulator(cc, fs, width="auto",
-                               fused_cap=len(fs) // 2)
+        small = FaultSimulator(cc, fs, fused_cap=len(fs) // 2)
         chunks = small._build_chunks(range(len(fs)))
         sizes = [len(c.indices) for c in chunks]
         assert len(sizes) >= 2
@@ -191,9 +190,11 @@ class TestWidthPolicy:
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
         with pytest.raises(ValueError):
-            FaultSimulator(cc, fs, width=1)
-        with pytest.raises(ValueError):
-            FaultSimulator(cc, fs, width="wide")
+            FaultSimulator(cc, fs, fused_cap=1)
+        # The fixed-width packing policy is gone: a cap is the only
+        # packing argument.
+        with pytest.raises(TypeError):
+            FaultSimulator(cc, fs, width=128)
 
 
 class TestScoreboard:
@@ -290,7 +291,7 @@ class TestCounters:
         net = synth.generate("cnt", 3, 2, 4, 20, seed=1)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         vectors = random_gen.random_sequence(cc, 10, seed=0)
         sim.detect(vectors, None, early_exit=False)
         assert sim.counters.detect_passes == 1
@@ -304,7 +305,7 @@ class TestCombineCache:
         net = synth.generate("cache", 4, 3, 5, 30, seed=2)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         rng = random.Random(0)
         tests = [ScanTest(V.random_binary_vector(5, rng),
                           (V.random_binary_vector(4, rng),))
@@ -321,7 +322,7 @@ class TestCombineCache:
         net = synth.generate("cache", 4, 3, 5, 30, seed=2)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         rng = random.Random(1)
         test = ScanTest(V.random_binary_vector(5, rng),
                         (V.random_binary_vector(4, rng),))
@@ -387,9 +388,9 @@ class TestNumpyBackendEquivalence:
         scan_out = data.draw(st.booleans())
         early_exit = data.draw(st.booleans())
 
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
+        reference = FaultSimulator(cc_codegen, fs).detect(
             vectors, init, scan_out=scan_out, early_exit=False)
-        sim = FaultSimulator(auto_circuit_for(seed), fs, width="auto")
+        sim = FaultSimulator(auto_circuit_for(seed), fs)
         got = sim.detect(vectors, init, scan_out=scan_out,
                          early_exit=early_exit)
         assert got == reference
@@ -406,10 +407,9 @@ class TestNumpyBackendEquivalence:
         vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
         init = V.random_binary_vector(n_ff, rng)
 
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
+        reference = FaultSimulator(cc_codegen, fs).detect(
             vectors, init, scan_observe=observe, early_exit=False)
-        got = FaultSimulator(auto_circuit_for(seed), fs,
-                             width="auto").detect(
+        got = FaultSimulator(auto_circuit_for(seed), fs).detect(
             vectors, init, scan_observe=observe, early_exit=False)
         assert got == reference
 
@@ -421,9 +421,9 @@ class TestNumpyBackendEquivalence:
         vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
         init = V.random_binary_vector(len(cc_codegen.ff_ids), rng)
 
-        ref = FaultSimulator(cc_codegen, fs, width="auto")\
+        ref = FaultSimulator(cc_codegen, fs)\
             .run_with_records(vectors, init)
-        alt = FaultSimulator(auto_circuit_for(seed), fs, width="auto")\
+        alt = FaultSimulator(auto_circuit_for(seed), fs)\
             .run_with_records(vectors, init)
         for frame in range(len(vectors)):
             assert (ref.detected_with_scanout_at(frame)
@@ -441,12 +441,12 @@ class TestNumpyBackendEquivalence:
         rng = random.Random(data.draw(st.integers(0, 999)))
         vectors = _vectors(data, rng, data.draw(st.integers(4, 12)))
         init = V.random_binary_vector(len(cc_codegen.ff_ids), rng)
-        required = set(FaultSimulator(cc_codegen, fs, width="auto")
+        required = set(FaultSimulator(cc_codegen, fs)
                        .detect(vectors, init, early_exit=False))
         test = ScanTest(tuple(init), tuple(tuple(v) for v in vectors))
-        ref_sim = FaultSimulator(cc_codegen, fs, width="auto")
+        ref_sim = FaultSimulator(cc_codegen, fs)
         ref = omit_vectors(ref_sim, test, set(required))
-        sim = FaultSimulator(auto_circuit_for(seed), fs, width="auto")
+        sim = FaultSimulator(auto_circuit_for(seed), fs)
         got = omit_vectors(sim, test, set(required))
         assert got.test == ref.test
         assert got.detected == ref.detected
@@ -469,12 +469,12 @@ class TestNumpyRepack:
         vectors = random_gen.random_sequence(cc, 30, seed=1)
         init = random_gen.random_state(cc, seed=2)
 
-        ref_sim = FaultSimulator(cc, fs, width="auto")
+        ref_sim = FaultSimulator(cc, fs)
         reference = ref_sim.detect(vectors, init, early_exit=True)
         assert ref_sim.counters.repacks > 0
 
         sim = FaultSimulator(CompiledCircuit(net.copy(), engine="auto"),
-                             fs, width="auto")
+                             fs)
         got = sim.detect(vectors, init, early_exit=True)
         assert got == reference
         c, r = sim.counters, ref_sim.counters
@@ -496,7 +496,7 @@ class TestEngineSelection:
         cc = CompiledCircuit(net, engine="auto")
         vectors = random_gen.random_sequence(cc, 6, seed=1)
         init = random_gen.random_state(cc, seed=2)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         assert sim._array_backend() is cc.array_backend is not None
         sim.detect(vectors, init, target=[0], early_exit=False)
         assert sim.counters.np_passes == 1
@@ -582,10 +582,10 @@ class TestEngineSelection:
             CompiledCircuit(net), 12, seed=3)
         init = random_gen.random_state(CompiledCircuit(net), seed=4)
         ref = FaultSimulator(CompiledCircuit(net, engine="codegen"),
-                             fs, width="auto").detect(
+                             fs).detect(
             vectors, init, early_exit=False)
         got = FaultSimulator(CompiledCircuit(net, engine="auto"),
-                             fs, width="auto").detect(
+                             fs).detect(
             vectors, init, early_exit=False)
         assert got == ref
 
@@ -625,7 +625,7 @@ class TestEngineSelection:
         net = synth.generate("sancb", 4, 3, 5, 40, seed=6)
         fs = FaultSet.collapsed(net)
         cc = CompiledCircuit(net, engine="auto")
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         vectors = random_gen.random_sequence(cc, 6, seed=1)
         init = random_gen.random_state(cc, seed=2)
         sim.detect(vectors, init, early_exit=False)

@@ -111,8 +111,8 @@ class TestConsistency:
         vectors = [V.random_binary_vector(4, rng) for _ in range(12)]
         faults = FaultSet.collapsed(s27)
         cc = CompiledCircuit(s27)
-        wide = FaultSimulator(cc, faults, width=128)
-        narrow = FaultSimulator(cc, faults, width=4)
+        wide = FaultSimulator(cc, faults, fused_cap=128)
+        narrow = FaultSimulator(cc, faults, fused_cap=4)
         init = V.vec("110")
         assert wide.detect(vectors, init, early_exit=False) == \
             narrow.detect(vectors, init, early_exit=False)
@@ -143,7 +143,7 @@ class TestConsistency:
     def test_invalid_width(self, s27):
         faults = FaultSet.collapsed(s27)
         with pytest.raises(ValueError):
-            FaultSimulator(CompiledCircuit(s27), faults, width=1)
+            FaultSimulator(CompiledCircuit(s27), faults, fused_cap=1)
 
 
 class TestRecords:

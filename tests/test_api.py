@@ -5,6 +5,7 @@ import pytest
 import repro
 from repro import api
 from repro.circuits import library
+from repro.sim.fault_sim import FUSED_CAP
 
 
 class TestWorkbench:
@@ -19,7 +20,7 @@ class TestWorkbench:
         default = api.Workbench.for_netlist(s27)
         assert default.circuit.engine == "auto"
         # The packing policy is not an API knob: always fused.
-        assert default.sim.width == "auto"
+        assert default.sim.fused_cap == FUSED_CAP
         with pytest.raises(TypeError):
             api.Workbench.for_netlist(s27, width=8)
 

@@ -35,16 +35,18 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_width_auto_accepted(self):
-        """``auto`` packing is the only width the CLI runs now: the
-        parser carries no width setting, and the workbench behind the
-        commands builds its fault simulator with ``width="auto"``."""
+        """Fused packing is the only packing the CLI runs: the parser
+        carries no width setting, and the workbench behind the
+        commands builds its fault simulator with the default
+        ``fused_cap``."""
         from repro import api
         from repro.circuits import suite
+        from repro.sim.fault_sim import FUSED_CAP
         args = build_parser().parse_args(["circuit", "s27"])
         assert not hasattr(args, "width")
         wb = api.Workbench.for_netlist(suite.profile("s27").build(),
                                        engine=args.engine)
-        assert wb.sim.width == "auto"
+        assert wb.sim.fused_cap == FUSED_CAP
 
     def test_width_rejects_garbage(self):
         """``--width`` is gone: every value, ``auto`` included, is a
